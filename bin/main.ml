@@ -328,7 +328,9 @@ let info_cmd =
   let run file =
     let g = load_graph file in
     let scc = Scc.compute g in
-    let cyclic = List.length (Scc.nontrivial_components g scc) in
+    let cyclic =
+      Array.fold_left (fun k c -> if c then k + 1 else k) 0 (Scc.cyclic g scc)
+    in
     Printf.printf "nodes: %d\narcs: %d\n" (Digraph.n g) (Digraph.m g);
     if Digraph.m g > 0 then
       Printf.printf "weights: [%d, %d]\ntotal transit: %d\n"

@@ -64,7 +64,7 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
   let result =
     if Array.length subs = 0 then None
     else begin
-      let solve_sub (sp : Scc.subproblem) =
+      let solve_sub ?pool (sp : Scc.subproblem) =
         (match budget with Some b -> Budget.check b | None -> ());
         let tr = !Obs.enabled_flag in
         if tr then Trace.begin_span sp_component;
@@ -79,33 +79,9 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
         let witness = List.map (fun a -> sp.Scc.arc_of_sub.(a)) r.Approx_lane.witness in
         ({ r with Approx_lane.witness }, witness, sub_stats)
       in
-      (* the same fan-out and arbitration as Solver.solve: components in
-         parallel, the inner pool only where workers would idle; results
-         land in component order so the reduction is job-count-blind *)
       let results =
-        match pool with
-        | None when jobs = 1 ->
-          let out = Array.make (Array.length subs) None in
-          (try Array.iteri (fun i sp -> out.(i) <- Some (solve_sub sp)) subs
-           with Budget.Exceeded _ -> ());
-          out
-        | _ ->
-          let p, owned =
-            match pool with
-            | Some p -> (p, false)
-            | None -> (Executor.create ~jobs, true)
-          in
-          let compute () =
-            subs
-            |> Array.map (fun sp -> Executor.async p (fun () -> solve_sub sp))
-            |> Array.map (fun fut ->
-                   match Executor.await p fut with
-                   | v -> Some v
-                   | exception Budget.Exceeded _ -> None)
-          in
-          if owned then
-            Fun.protect ~finally:(fun () -> Executor.shutdown p) compute
-          else compute ()
+        Solver.fan_out ~jobs ?pool ~size:(fun sp -> Digraph.m sp.Scc.sub) subs
+          solve_sub
       in
       let merged_stats = ref (Stats.create ()) in
       let lo = ref None in
@@ -117,19 +93,15 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
       let skipped = ref false in
       Array.iter
         (function
-          | None -> skipped := true
-          | Some ((r : Approx_lane.t), witness, sub_stats) ->
+          | Error _ -> skipped := true
+          | Ok ((r : Approx_lane.t), witness, sub_stats) ->
             incr components;
             merged_stats := Stats.merge !merged_stats sub_stats;
             tests := !tests + r.Approx_lane.tests;
             rounds := !rounds + r.Approx_lane.rounds;
             if not r.Approx_lane.converged then all_converged := false;
-            (match !lo with
-            | Some l when Ratio.leq l r.Approx_lane.lo -> ()
-            | _ -> lo := Some r.Approx_lane.lo);
-            (match !upper with
-            | Some (h, _) when Ratio.leq h r.Approx_lane.hi -> ()
-            | _ -> upper := Some (r.Approx_lane.hi, witness)))
+            lo := Solver.best_in_order !lo r.Approx_lane.lo ();
+            upper := Solver.best_in_order !upper r.Approx_lane.hi witness)
         results;
       (match stats with
       | Some s -> Stats.add s !merged_stats
@@ -140,8 +112,9 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
          and any completed component's hi keeps bounding the global
          minimum from above *)
       let lo =
-        if !skipped || !lo = None then Ratio.of_int blo_g
-        else Option.get !lo
+        match !lo with
+        | Some (l, ()) when not !skipped -> l
+        | _ -> Ratio.of_int blo_g
       in
       let hi, witness =
         match !upper with

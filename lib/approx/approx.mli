@@ -44,10 +44,10 @@ val solve :
   ?stats:Stats.t -> ?budget:Budget.t -> ?jobs:int -> ?pool:Executor.t ->
   ?problem:Solver.problem -> ?objective:Solver.objective -> eps:float ->
   Digraph.t -> certificate option
-(** [None] iff the graph has no cycle.  Components fan out on the pool
-    exactly like {!Solver.solve} (bit-identical certificates for every
-    job count); a budget interruption degrades to a wider but still
-    sound certificate instead of raising.  [stats] accumulates the
+(** [None] iff the graph has no cycle.  Components run through
+    {!Solver.fan_out}, exactly like {!Solver.solve} (bit-identical
+    certificates for every job count); a budget interruption degrades
+    to a wider but still sound certificate instead of raising.  [stats] accumulates the
     merged per-component counters.
     @raise Invalid_argument on invalid [eps]/[jobs], and from
     {!Solver.preflight} on instances outside exact-arithmetic range. *)

@@ -118,11 +118,11 @@ let critical_arcs ~den g lambda =
         end);
     let tight = Digraph.build b in
     let scc = Scc.compute tight in
+    let cyclic = Scc.cyclic tight scc in
     let result = ref [] in
     for ta = Digraph.m tight - 1 downto 0 do
-      let u = Digraph.src tight ta and v = Digraph.dst tight ta in
-      let same = scc.Scc.component.(u) = scc.Scc.component.(v) in
-      let cyclic = (not (Scc.is_trivial tight scc scc.Scc.component.(u))) in
-      if same && cyclic then result := Vec.get ids ta :: !result
+      let cu = scc.Scc.component.(Digraph.src tight ta) in
+      if cu = scc.Scc.component.(Digraph.dst tight ta) && cyclic.(cu) then
+        result := Vec.get ids ta :: !result
     done;
     !result

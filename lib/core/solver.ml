@@ -22,26 +22,83 @@ let check_ratio_well_posed g =
    is bounded by (2·D·W)·D where W = max |weight| and D = the largest
    possible denominator (n for means, total transit for ratios); keep
    that product far from max_int. *)
-let check_arithmetic_range ~problem g =
-  if Digraph.m g > 0 then begin
-    let w = max 1 (max (abs (Digraph.min_weight g)) (abs (Digraph.max_weight g))) in
-    let d =
-      match problem with
-      | Cycle_mean -> max 1 (Digraph.n g)
-      | Cycle_ratio -> max (Digraph.n g) (Digraph.total_transit g)
-    in
-    if d > 0 && w > max_int / 8 / d / d then
-      invalid_arg
-        (Printf.sprintf
-           "Solver: weights up to %d on an instance with denominator range \
-            %d would overflow exact native-int arithmetic" w d)
-  end
+let check_arithmetic_range ~w ~d =
+  let w = max 1 w in
+  if d > 0 && w > max_int / 8 / d / d then
+    invalid_arg
+      (Printf.sprintf
+         "Solver: weights up to %d on an instance with denominator range \
+          %d would overflow exact native-int arithmetic" w d)
 
 let preflight ~problem g =
-  check_arithmetic_range ~problem g;
+  if Digraph.m g > 0 then
+    check_arithmetic_range
+      ~w:(max (abs (Digraph.min_weight g)) (abs (Digraph.max_weight g)))
+      ~d:
+        (match problem with
+        | Cycle_mean -> max 1 (Digraph.n g)
+        | Cycle_ratio -> max (Digraph.n g) (Digraph.total_transit g));
   match problem with
   | Cycle_ratio -> check_ratio_well_posed g
   | Cycle_mean -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The per-SCC fan-out: the one component loop every front-end runs   *)
+(* ------------------------------------------------------------------ *)
+
+let fan_out ?(jobs = 1) ?pool ~size items f =
+  if jobs < 1 then invalid_arg "Solver.fan_out: jobs must be >= 1";
+  let n = Array.length items in
+  let run pool =
+    match pool with
+    | Some p when n > 1 && Executor.jobs p > 1 ->
+      (* Arbitration between the two levels of parallelism.  The pool
+         can serve both: items fan out here, and a Howard solve can
+         re-use it to chunk its improvement sweep (help-first waiting
+         makes the nesting deadlock-free).  But when the fan-out
+         already saturates the workers, nested sweep chunks only add
+         queueing and merge overhead — so an item gets the inner pool
+         only if the fan-out leaves workers idle (fewer items than
+         jobs) or the item dominates the total size (≥ half; one giant
+         SCC among crumbs is exactly where the intra-solve sweep is the
+         only win).  Purely a placement decision: results are
+         bit-identical either way. *)
+      let total = Array.fold_left (fun acc x -> acc + size x) 0 items in
+      let saturated = n >= Executor.jobs p in
+      items
+      |> Array.map (fun x ->
+             let inner =
+               if (not saturated) || 2 * size x >= total then pool else None
+             in
+             Executor.async p (fun () -> f ?pool:inner x))
+      |> Array.map (fun fut ->
+             match Executor.await p fut with
+             | v -> Ok v
+             | exception Budget.Exceeded c -> Error c)
+    | _ ->
+      (* serial: stop at the first exhausted budget; the items after it
+         fail with the same cause *)
+      let stopped = ref None in
+      Array.init n (fun i ->
+          match !stopped with
+          | Some c -> Error c
+          | None -> (
+            match f ?pool items.(i) with
+            | v -> Ok v
+            | exception Budget.Exceeded c ->
+              stopped := Some c;
+              Error c))
+  in
+  match pool with
+  | None when jobs > 1 && n > 0 ->
+    let p = Executor.create ~jobs in
+    Fun.protect ~finally:(fun () -> Executor.shutdown p) (fun () -> run (Some p))
+  | _ -> run pool
+
+let best_in_order best lambda w =
+  match best with
+  | Some (bl, _) when Ratio.leq bl lambda -> best
+  | _ -> Some (lambda, w)
 
 exception Deadline_exceeded of { partial : report option }
 
@@ -81,76 +138,23 @@ let solve ?(objective = Minimize) ?(problem = Cycle_mean) ?budget ?(jobs = 1)
     if tr then Trace.end_span sp_component;
     (lambda, List.map (fun a -> sp.Scc.arc_of_sub.(a)) cycle, sub_stats)
   in
-  (* Per-component results in component (reverse topological) order;
-     [None] marks a component that did not complete within the budget.
-     Serial and parallel paths fill the same array, so the reduction
-     below is identical for every job count. *)
-  let exceeded = ref false in
   let results =
-    match pool with
-    | None when jobs = 1 ->
-      let out = Array.make (Array.length subs) None in
-      (try Array.iteri (fun i sp -> out.(i) <- Some (solve_sub sp)) subs
-       with Budget.Exceeded _ -> exceeded := true);
-      out
-    | _ ->
-      let p, owned =
-        match pool with
-        | Some p -> (p, false)
-        | None -> (Executor.create ~jobs, true)
-      in
-      (* Arbitration between the two levels of parallelism.  The pool
-         can serve both: components fan out here, and a Howard solve
-         can re-use it to chunk its improvement sweep (help-first
-         waiting makes the nesting deadlock-free).  But when the
-         component fan-out already saturates the workers, nested sweep
-         chunks only add queueing and merge overhead — so a component
-         gets the inner pool only if the fan-out leaves workers idle
-         (fewer components than jobs) or the component dominates the
-         cyclic arc mass (≥ half; one giant SCC among crumbs is
-         exactly where the intra-solve sweep is the only win).  Purely
-         a placement decision: results are bit-identical either way. *)
-      let total_arcs =
-        Array.fold_left (fun acc sp -> acc + Digraph.m sp.Scc.sub) 0 subs
-      in
-      let saturated = Array.length subs >= Executor.jobs p in
-      let inner_pool sp =
-        if (not saturated) || 2 * Digraph.m sp.Scc.sub >= total_arcs then
-          Some p
-        else None
-      in
-      let compute () =
-        subs
-        |> Array.map (fun sp ->
-               let inner = inner_pool sp in
-               Executor.async p (fun () -> solve_sub ?pool:inner sp))
-        |> Array.map (fun fut ->
-               match Executor.await p fut with
-               | v -> Some v
-               | exception Budget.Exceeded _ ->
-                 exceeded := true;
-                 None)
-      in
-      if owned then
-        Fun.protect ~finally:(fun () -> Executor.shutdown p) compute
-      else compute ()
+    fan_out ~jobs ?pool ~size:(fun sp -> Digraph.m sp.Scc.sub) subs solve_sub
   in
   (* deterministic reduction: fold completed components in component
-     order, whatever order the domains finished in; ties keep the
-     lower-id component's witness, exactly as the serial loop did *)
+     order, whatever order the domains finished in *)
   if tr then Trace.begin_span sp_reduce;
   let stats = ref (Stats.create ()) in
   let best = ref None in
   let components = ref 0 in
+  let exceeded = ref false in
   Array.iter
     (function
-      | None -> ()
-      | Some (lambda, cycle, sub_stats) -> (
+      | Error _ -> exceeded := true
+      | Ok (lambda, cycle, sub_stats) ->
         incr components;
         stats := Stats.merge !stats sub_stats;
-        match !best with
-        | Some (bl, _) when Ratio.leq bl lambda -> ()
-        | _ -> best := Some (lambda, cycle)))
+        best := best_in_order !best lambda cycle)
     results;
   if tr then Trace.end_span sp_reduce;
   (* best-so-far as a full report, with the objective sign restored —

@@ -21,10 +21,54 @@ type report = {
 
 val preflight : problem:problem -> Digraph.t -> unit
 (** The well-posedness checks of {!solve}, exposed for front-ends
-    (such as the batch engine) that drive the per-component loop
-    themselves.
+    (such as the batch engine) that run their own per-component
+    solves through {!fan_out}.
     @raise Invalid_argument under the conditions documented on
     {!solve}. *)
+
+val check_arithmetic_range : w:int -> d:int -> unit
+(** The overflow bound inside {!preflight}: weights of magnitude up to
+    [w] with denominators up to [d] (node count for means, total
+    transit time for ratios) must keep [|w| · d²] well below
+    [max_int / 8].  Exposed so that sessions maintaining [w] and [d]
+    incrementally ({!Dyn}) apply the same bound with the same message.
+    @raise Invalid_argument when the bound is violated. *)
+
+val fan_out :
+  ?jobs:int ->
+  ?pool:Executor.t ->
+  size:('a -> int) ->
+  'a array ->
+  (?pool:Executor.t -> 'a -> 'b) ->
+  ('b, Budget.cause) result array
+(** [fan_out ~size items f] is the per-component loop of §2 — run [f]
+    on every item (normally a cyclic SCC subproblem) — shared by
+    {!solve}, the engine, the approximation lane and dynamic sessions.
+    Results come back in item order whatever order they finished in,
+    so a reduction over them is identical for every job count.
+
+    Placement: the items run serially on the calling domain unless a
+    pool with more than one worker and more than one item exist; with
+    [jobs > 1] and no [pool], a private pool is created and shut down
+    around the call.  [f] receives the inner pool it may use for
+    intra-item parallelism (Howard's chunked sweep): a lone item, or
+    every item of a serial run, gets the whole pool; under a fan-out an
+    item gets it only if the fan-out leaves workers idle (fewer items
+    than jobs) or [size item] is at least half of the total.
+
+    Budgets: an item whose [f] raises {!Budget.Exceeded} yields
+    [Error cause].  The serial path stops at the first such item and
+    marks every item after it [Error] with the same cause; under a
+    fan-out every item runs to its own outcome.  Any other exception
+    propagates.
+    @raise Invalid_argument if [jobs < 1]. *)
+
+val best_in_order :
+  (Ratio.t * 'w) option -> Ratio.t -> 'w -> (Ratio.t * 'w) option
+(** One step of the deterministic reduction over {!fan_out} results:
+    [best_in_order best lambda w] keeps [best] unless [lambda] is
+    strictly smaller, so folding components in order keeps the
+    lower-id witness on ties. *)
 
 exception Deadline_exceeded of { partial : report option }
 (** Raised by {!solve} when the supplied budget runs out: [partial] is

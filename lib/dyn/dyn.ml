@@ -159,7 +159,7 @@ let arc_alive t a = a >= 0 && a < arc_count t && Vec.get t.alive a
 
 let rebuild_mat t =
   let count = arc_count t in
-  let b = Digraph.create_builder ~expected_arcs:t.live t.nn in
+  let b = Digraph.create_builder t.nn in
   let mos = Array.make (max count 1) (-1) in
   let som = Array.make (max t.live 1) (-1) in
   let sg = sign t in
@@ -349,17 +349,11 @@ let rescan_wabs t =
 let preflight t =
   if t.live > 0 then begin
     if t.wabs_stale then rescan_wabs t;
-    let w = max 1 t.wabs in
-    let d =
-      match t.prob with
-      | Solver.Cycle_mean -> max 1 t.nn
-      | Solver.Cycle_ratio -> max t.nn t.total_tt
-    in
-    if d > 0 && w > max_int / 8 / d / d then
-      invalid_arg
-        (Printf.sprintf
-           "Solver: weights up to %d on an instance with denominator range \
-            %d would overflow exact native-int arithmetic" w d)
+    Solver.check_arithmetic_range ~w:t.wabs
+      ~d:
+        (match t.prob with
+        | Solver.Cycle_mean -> max 1 t.nn
+        | Solver.Cycle_ratio -> max t.nn t.total_tt)
   end;
   if t.prob = Solver.Cycle_ratio then begin
     let ok =
@@ -422,7 +416,7 @@ let solve_part t ?pool ci (p : part) scratch =
      per-component fan-out of [query] has nothing to parallelize; the
      caller arbitrates which components get it *)
   let lambda, cyc, pol =
-    Warm.solve_warm ~stats:st ~policy ~potentials:pot ?scratch ?hint
+    Warm.solve_warm ~stats:st ~policy ~potentials:pot ~scratch ?hint
       ?pool (warm_problem t) p.p_sub
   in
   (lambda, List.map (fun i -> p.p_arcs.(i)) cyc, pol, pot, st)
@@ -439,48 +433,29 @@ let query t =
     for ci = k - 1 downto 0 do
       if parts.(ci).p_dirty then dirty := ci :: !dirty
     done;
-    let dirty = !dirty in
-    let resolved = List.length dirty in
-    (* re-solve dirty components; [solved] lines up with [dirty] *)
+    let dirty = Array.of_list !dirty in
+    let resolved = Array.length dirty in
+    (* re-solve dirty components through Solver.fan_out; a fan-out
+       gives each task its own scratch, while a serial run threads the
+       session's one scratch through every re-solve, so the steady path
+       allocates no fresh workspace *)
+    let fresh_scratch = t.pool <> None && resolved > 1 in
     let solved =
-      match t.pool with
-      | Some pool when resolved > 1 ->
-        (* each task gets its own scratch and stats; the session
-           scratch is not shared across domains.  Same two-level
-           arbitration as Solver.solve: a dirty component only nests
-           the chunked sweep if the fan-out leaves workers idle or it
-           holds at least half the dirty arc mass. *)
-        let total_arcs =
-          List.fold_left
-            (fun acc ci -> acc + Digraph.m parts.(ci).p_sub)
-            0 dirty
-        in
-        let saturated = resolved >= Executor.jobs pool in
+      Solver.fan_out ?pool:t.pool
+        ~size:(fun ci -> Digraph.m parts.(ci).p_sub)
         dirty
-        |> List.map (fun ci ->
-               let inner =
-                 if
-                   (not saturated)
-                   || 2 * Digraph.m parts.(ci).p_sub >= total_arcs
-                 then Some pool
-                 else None
-               in
-               Executor.async pool (fun () ->
-                   solve_part t ?pool:inner ci parts.(ci)
-                     (Some (Howard.create_scratch ()))))
-        |> List.map (Executor.await pool)
-      | _ ->
-        (* serial: thread the session's one scratch through every
-           re-solve, so the steady path allocates no fresh workspace *)
-        List.map
-          (fun ci -> solve_part t ?pool:t.pool ci parts.(ci) (Some t.scratch))
-          dirty
+        (fun ?pool ci ->
+          let scratch =
+            if fresh_scratch then Howard.create_scratch () else t.scratch
+          in
+          solve_part t ?pool ci parts.(ci) scratch)
     in
     (* join: commit results and feed final policies back, in component
        order, on the coordinating thread *)
     let stats = ref (Stats.create ()) in
-    List.iter2
-      (fun ci (lambda, cyc, pol, pot, st) ->
+    Array.iter2
+      (fun ci r ->
+        let lambda, cyc, pol, pot, st = Result.get_ok r in
         let p = parts.(ci) in
         p.p_result <- Some (lambda, cyc);
         p.p_dirty <- false;
@@ -488,21 +463,17 @@ let query t =
         Array.iteri (fun i v -> t.last_pot.(p.p_nodes.(i)) <- v) pot;
         stats := Stats.merge !stats st)
       dirty solved;
-    (* deterministic reduction: fold every component in component
-       order with Solver.solve's exact tie-breaking (ties keep the
-       lower-id component's witness) *)
-    let best = ref None in
-    Array.iter
-      (fun p ->
-        match p.p_result with
-        | None -> ()
-        | Some (lambda, cycle) -> (
-          match !best with
-          | Some (bl, _) when Ratio.leq bl lambda -> ()
-          | _ -> best := Some (lambda, cycle)))
-      parts;
+    (* deterministic reduction over every component in component order *)
+    let best =
+      Array.fold_left
+        (fun best p ->
+          match p.p_result with
+          | None -> best
+          | Some (lambda, cycle) -> Solver.best_in_order best lambda cycle)
+        None parts
+    in
     let answer =
-      match !best with
+      match best with
       | None -> None
       | Some (lambda, cycle) ->
         let lambda =
@@ -522,7 +493,7 @@ let query t =
 (* ------------------------------------------------------------------ *)
 
 let graph t =
-  let b = Digraph.create_builder ~expected_arcs:t.live t.nn in
+  let b = Digraph.create_builder t.nn in
   for a = 0 to arc_count t - 1 do
     if Vec.get t.alive a then
       ignore

@@ -20,12 +20,12 @@
       Howard seeded from the component's last policy through the shared
       {!Warm} core and the kernel's reusable zero-allocation scratch.
 
-    Dirty components re-solve concurrently on the {!Executor} pool with
-    the same deterministic component-order reduction as
-    [Solver.solve ~jobs], so a session query is {b bit-identical} to a
-    cold [Solver.solve] of the materialized graph — same λ, same
-    witness, same component count, for every job count (property-tested
-    in [test_dyn.ml]).  Only [report.stats] differs: it counts the work
+    Dirty components re-solve through {!Solver.fan_out}, concurrently
+    on the {!Executor} pool, with the same deterministic
+    component-order reduction as [Solver.solve ~jobs], so a session
+    query is {b bit-identical} to a cold [Solver.solve] of the
+    materialized graph — same λ, same witness, same component count,
+    for every job count (property-tested in [test_dyn.ml]).  Only [report.stats] differs: it counts the work
     {e this} query performed, which is the point of the subsystem.
 
     See docs/DYN.md for the session model, the journal format and the

@@ -184,10 +184,9 @@ let solve_approx t ~inner_pool tel (req : Request.t) ~deadline_at ~fallback =
 (* fresh solve: per-SCC fan-out, portfolio, deadline                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors Solver.solve exactly (same component order, same
-   tie-breaking) so that engine results are indistinguishable from a
-   fresh [Solver.solve ~algorithm] — a property the test suite checks —
-   while fanning independent SCC subproblems across the executor.
+(* The per-SCC loop runs through Solver.fan_out over the partition
+   computed once here, so engine results are indistinguishable from a
+   fresh [Solver.solve ~algorithm] — a property the test suite checks.
 
    [inner_pool] is the arbitration verdict from the caller: [Some p]
    lets this request parallelize internally (component fan-out, and
@@ -221,8 +220,8 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
     (* the one-pass partition replaces per-component Digraph.induced
        scans; computed once here, the subgraphs are reused by every
        portfolio attempt instead of being rebuilt per fallback *)
-    let subs = Array.to_list (Scc.partition g_min scc) in
-    if subs = [] then Acyclic
+    let subs = Scc.partition g_min scc in
+    if Array.length subs = 0 then Acyclic
     else begin
       let runner_of alg =
         match spec.Request.problem with
@@ -269,56 +268,24 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
       in
       let attempt (_name, iter_budget, run) =
         let results =
-          match inner_pool with
-          | Some p when List.length subs > 1 && Executor.jobs p > 1 ->
-            (* same two-level arbitration as Solver.solve: a component
-               only nests the chunked sweep if the fan-out leaves
-               workers idle or it holds at least half the cyclic arcs *)
-            let total_arcs =
-              List.fold_left (fun acc sp -> acc + Digraph.m sp.Scc.sub) 0 subs
-            in
-            let saturated = List.length subs >= Executor.jobs p in
-            subs
-            |> List.map (fun sp ->
-                   let pool =
-                     if
-                       (not saturated)
-                       || 2 * Digraph.m sp.Scc.sub >= total_arcs
-                     then Some p
-                     else None
-                   in
-                   Executor.async p (fun () ->
-                       solve_component run iter_budget ?pool sp))
-            |> List.map (fun fut ->
-                   try Ok (Executor.await p fut)
-                   with Budget.Exceeded c -> Error c)
-          | _ ->
-            List.map
-              (fun sp ->
-                try Ok (solve_component run iter_budget ?pool:inner_pool sp)
-                with Budget.Exceeded c -> Error c)
-              subs
+          Solver.fan_out ?pool:inner_pool
+            ~size:(fun sp -> Digraph.m sp.Scc.sub)
+            subs (solve_component run iter_budget)
         in
-        (* join: fold in component order with Solver.solve's exact
-           tie-breaking; merge the per-domain counters *)
+        (* join: fold in component order; merge the per-domain counters *)
         let best = ref None in
         let stats = ref (Stats.create ()) in
         let ncomp = ref 0 in
         let err = ref None in
-        List.iter
+        Array.iter
           (function
             | Ok (lambda, cycle, s) ->
               incr ncomp;
               stats := Stats.merge !stats s;
-              (match !best with
-              | Some (bl, _) when Ratio.leq bl lambda -> ()
-              | _ -> best := Some (lambda, cycle))
-            | Error c -> (
-              match (!err, c) with
-              | Some Budget.Deadline, _ -> ()
-              | _, Budget.Deadline -> err := Some Budget.Deadline
-              | None, c -> err := Some c
-              | Some _, _ -> ()))
+              best := Solver.best_in_order !best lambda cycle
+            | Error c ->
+              (* a missed deadline outranks an iteration blowout *)
+              if !err <> Some Budget.Deadline then err := Some c)
           results;
         Telemetry.record_ops tel !stats;
         match !err with

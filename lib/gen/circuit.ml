@@ -6,7 +6,7 @@ let generate ?(seed = 1) ?(density = 1.8) ?(locality = 8)
   let rng = Rng.create seed in
   let dlo, dhi = delays in
   let m = int_of_float (ceil (density *. float_of_int n)) in
-  let b = Digraph.create_builder ~expected_arcs:m n in
+  let b = Digraph.create_builder n in
   let add u v =
     ignore
       (Digraph.add_arc b ~src:u ~dst:v ~weight:(Rng.in_range rng dlo dhi) ())

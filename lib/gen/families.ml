@@ -11,7 +11,7 @@ let complete ?(seed = 1) ?(weights = (1, 10000)) n =
   if n < 2 then invalid_arg "Families.complete: need at least 2 nodes";
   let rng = Rng.create seed in
   let wlo, whi = weights in
-  let b = Digraph.create_builder ~expected_arcs:(n * (n - 1)) n in
+  let b = Digraph.create_builder n in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
       if u <> v then
@@ -113,7 +113,7 @@ let low_diameter ?(seed = 1) ?(weights = (1, 10000)) ~diameter n =
       (int_of_float
          (Float.ceil (Float.pow (float_of_int n) (1.0 /. float_of_int diameter))))
   in
-  let b = Digraph.create_builder ~expected_arcs:(n * degree) n in
+  let b = Digraph.create_builder n in
   let add u v =
     ignore (Digraph.add_arc b ~src:u ~dst:v ~weight:(Rng.in_range rng wlo whi) ())
   in

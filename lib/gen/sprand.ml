@@ -3,7 +3,7 @@ let generate ?(seed = 1) ?(weights = (1, 10000)) ?(transits = (1, 1)) ~n ~m () =
   if m < n then invalid_arg "Sprand.generate: m must be at least n";
   let rng = Rng.create seed in
   let wlo, whi = weights and tlo, thi = transits in
-  let b = Digraph.create_builder ~expected_arcs:m n in
+  let b = Digraph.create_builder n in
   let add u v =
     ignore
       (Digraph.add_arc b ~src:u ~dst:v ~weight:(Rng.in_range rng wlo whi)

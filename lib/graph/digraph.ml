@@ -50,9 +50,8 @@ type builder = {
   transits : int Vec.t;
 }
 
-let create_builder ?(expected_arcs = 16) n =
+let create_builder n =
   if n < 0 then invalid_arg "Digraph.create_builder: negative node count";
-  ignore expected_arcs;
   {
     bn = n;
     closed = false;
@@ -130,7 +129,7 @@ let build b =
   of_label_arrays ~n:b.bn ~m ~arc_src ~arc_dst ~arc_weight ~arc_transit
 
 let of_arcs n arcs =
-  let b = create_builder ~expected_arcs:(List.length arcs) n in
+  let b = create_builder n in
   let add (src, dst, weight, transit) =
     ignore (add_arc b ~src ~dst ~weight ~transit ()) in
   List.iter add arcs;

@@ -25,7 +25,7 @@ type float_array1 =
 
 type builder
 
-val create_builder : ?expected_arcs:int -> int -> builder
+val create_builder : int -> builder
 (** [create_builder n] starts a graph on nodes [0 .. n-1].
     @raise Invalid_argument if [n < 0]. *)
 

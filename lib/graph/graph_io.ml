@@ -11,15 +11,29 @@ let to_string g =
 
 let fail lineno msg = failwith (Printf.sprintf "Graph_io: line %d: %s" lineno msg)
 
-let of_string s =
+(* The two text formats differ only in their comment marker, their
+   problem-line tag and the arc-line arities they accept. *)
+type format = { comment : char; tag : string; arities : int list }
+
+let native = { comment = '#'; tag = "ocr"; arities = [ 3; 4 ] }
+let dimacs = { comment = 'c'; tag = "sp"; arities = [ 3 ] }
+
+(* endpoint/transit violations surface from Digraph as
+   Invalid_argument; rewrap them as parse failures so callers only ever
+   see Failure for corrupt input *)
+let add_arc b lineno u v w transit =
+  try ignore (Digraph.add_arc b ~src:(u - 1) ~dst:(v - 1) ~weight:w ~transit ())
+  with Invalid_argument m -> fail lineno m
+
+let parse fmt s =
   let builder = ref None in
   let lineno = ref 0 in
   let handle_line line =
     incr lineno;
     let line = String.trim line in
-    if line <> "" && line.[0] <> '#' then
+    if line <> "" && line.[0] <> fmt.comment then
       match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-      | [ "p"; "ocr"; sn; sm ] -> (
+      | [ "p"; tag; sn; sm ] when tag = fmt.tag -> (
         if !builder <> None then fail !lineno "duplicate problem line";
         match (int_of_string_opt sn, int_of_string_opt sm) with
         | Some n, Some _ when n >= 0 -> builder := Some (Digraph.create_builder n)
@@ -30,19 +44,14 @@ let of_string s =
           | Some b -> b
           | None -> fail !lineno "arc before problem line"
         in
-        let ints = List.map int_of_string_opt rest in
-        (* endpoint/transit violations surface from Digraph as
-           Invalid_argument; rewrap them as parse failures so callers
-           only ever see Failure for corrupt input *)
+        let ints =
+          if List.mem (List.length rest) fmt.arities then
+            List.map int_of_string_opt rest
+          else []
+        in
         match ints with
-        | [ Some u; Some v; Some w ] -> (
-          try ignore (Digraph.add_arc b ~src:(u - 1) ~dst:(v - 1) ~weight:w ())
-          with Invalid_argument m -> fail !lineno m)
-        | [ Some u; Some v; Some w; Some t ] -> (
-          try
-            ignore
-              (Digraph.add_arc b ~src:(u - 1) ~dst:(v - 1) ~weight:w ~transit:t ())
-          with Invalid_argument m -> fail !lineno m)
+        | [ Some u; Some v; Some w ] -> add_arc b !lineno u v w 1
+        | [ Some u; Some v; Some w; Some t ] -> add_arc b !lineno u v w t
         | _ -> fail !lineno "malformed arc line")
       | tok :: _ -> fail !lineno (Printf.sprintf "unknown record %S" tok)
       | [] -> ()
@@ -51,51 +60,21 @@ let of_string s =
   match !builder with
   | Some b -> Digraph.build b
   | None -> failwith "Graph_io: missing problem line"
+
+let of_string = parse native
+let of_dimacs = parse dimacs
 
 let write_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       output_string oc (to_string g))
 
-let read_file path =
+let slurp path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      let len = in_channel_length ic in
-      really_input_string ic len)
-  |> of_string
+      really_input_string ic (in_channel_length ic))
 
-
-let of_dimacs s =
-  let builder = ref None in
-  let lineno = ref 0 in
-  let handle_line line =
-    incr lineno;
-    let line = String.trim line in
-    if line <> "" && line.[0] <> 'c' then
-      match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-      | [ "p"; "sp"; sn; sm ] -> (
-        if !builder <> None then fail !lineno "duplicate problem line";
-        match (int_of_string_opt sn, int_of_string_opt sm) with
-        | Some n, Some _ when n >= 0 -> builder := Some (Digraph.create_builder n)
-        | _ -> fail !lineno "malformed problem line")
-      | [ "a"; su; sv; sw ] -> (
-        let b =
-          match !builder with
-          | Some b -> b
-          | None -> fail !lineno "arc before problem line"
-        in
-        match (int_of_string_opt su, int_of_string_opt sv, int_of_string_opt sw) with
-        | Some u, Some v, Some w -> (
-          try ignore (Digraph.add_arc b ~src:(u - 1) ~dst:(v - 1) ~weight:w ())
-          with Invalid_argument m -> fail !lineno m)
-        | _ -> fail !lineno "malformed arc line")
-      | tok :: _ -> fail !lineno (Printf.sprintf "unknown record %S" tok)
-      | [] -> ()
-  in
-  String.split_on_char '\n' s |> List.iter handle_line;
-  match !builder with
-  | Some b -> Digraph.build b
-  | None -> failwith "Graph_io: missing problem line"
+let read_file path = of_string (slurp path)
 
 let to_dimacs g =
   let buf = Buffer.create (32 * (Digraph.m g + 1)) in
@@ -128,12 +107,5 @@ let to_dot ?(name = "g") ?(highlight = []) g =
   Buffer.contents buf
 
 let load path =
-  if Filename.check_suffix path ".gr" then
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        really_input_string ic len)
-    |> of_dimacs
-  else read_file path
+  (if Filename.check_suffix path ".gr" then of_dimacs else of_string)
+    (slurp path)

@@ -1,7 +1,6 @@
 type t = {
   count : int;
   component : int array;
-  members : int list array;
 }
 
 (* Iterative Tarjan.  For each node we keep the classic index/lowlink
@@ -70,23 +69,19 @@ let compute g =
   for v = 0 to n - 1 do
     if index.(v) < 0 then start v
   done;
-  let members = Array.make !comp_count [] in
-  for v = n - 1 downto 0 do
-    members.(component.(v)) <- v :: members.(component.(v))
-  done;
-  { count = !comp_count; component; members }
+  { count = !comp_count; component }
 
-let is_trivial g scc c =
-  match scc.members.(c) with
-  | [ v ] -> Digraph.arc_between g v v = None
-  | _ -> false
-
-let nontrivial_components g scc =
-  let acc = ref [] in
-  for c = scc.count - 1 downto 0 do
-    if not (is_trivial g scc c) then acc := scc.members.(c) :: !acc
-  done;
-  !acc
+(* a component is cyclic iff it has >= 2 nodes (strong connectivity
+   forces a cycle) or a self-loop; both facts fall out of one O(n + m)
+   sweep, with no per-component arc scans *)
+let cyclic g t =
+  let size = Array.make t.count 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) t.component;
+  let cyclic = Array.map (fun s -> s >= 2) size in
+  Digraph.iter_arcs g (fun a ->
+      let u = Digraph.src g a in
+      if u = Digraph.dst g a then cyclic.(t.component.(u)) <- true);
+  cyclic
 
 type subproblem = {
   comp : int;
@@ -96,27 +91,14 @@ type subproblem = {
 }
 
 let partition ?(nontrivial_only = true) g t =
-  let keep, kept_ids =
-    if not nontrivial_only then
-      ((fun _ -> true), Array.init t.count Fun.id)
-    else begin
-      (* a component is cyclic iff it has >= 2 nodes (strong
-         connectivity forces a cycle) or a self-loop; both facts fall
-         out of one O(n + m) sweep, with no per-component arc scans *)
-      let size = Array.make (max t.count 1) 0 in
-      Array.iter (fun c -> size.(c) <- size.(c) + 1) t.component;
-      let cyclic = Array.make (max t.count 1) false in
-      Digraph.iter_arcs g (fun a ->
-          let u = Digraph.src g a in
-          if u = Digraph.dst g a then cyclic.(t.component.(u)) <- true);
-      let keep c = size.(c) >= 2 || cyclic.(c) in
-      let ids = ref [] in
-      for c = t.count - 1 downto 0 do
-        if keep c then ids := c :: !ids
-      done;
-      (keep, Array.of_list !ids)
-    end
+  let keep =
+    if nontrivial_only then Array.get (cyclic g t) else fun _ -> true
   in
+  let kept_ids = ref [] in
+  for c = t.count - 1 downto 0 do
+    if keep c then kept_ids := c :: !kept_ids
+  done;
+  let kept_ids = Array.of_list !kept_ids in
   let triples =
     Digraph.partition g ~count:t.count ~component:t.component ~keep
   in

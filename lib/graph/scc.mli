@@ -3,7 +3,6 @@
 type t = {
   count : int;             (** number of components *)
   component : int array;   (** node -> component id *)
-  members : int list array; (** component id -> member nodes *)
 }
 
 val compute : Digraph.t -> t
@@ -11,12 +10,9 @@ val compute : Digraph.t -> t
     condensation: every arc between distinct components goes from a
     higher id to a lower id. *)
 
-val is_trivial : Digraph.t -> t -> int -> bool
-(** A component is trivial if it is a single node without a self-loop;
-    trivial components contain no cycle. *)
-
-val nontrivial_components : Digraph.t -> t -> int list list
-(** Member lists of all components that contain at least one cycle. *)
+val cyclic : Digraph.t -> t -> bool array
+(** Component id -> whether the component contains a cycle: it has at
+    least two nodes or a self-loop.  One O(n + m) sweep. *)
 
 type subproblem = {
   comp : int;              (** component id in the decomposition *)
@@ -28,12 +24,12 @@ type subproblem = {
 val partition : ?nontrivial_only:bool -> Digraph.t -> t -> subproblem array
 (** All component subgraphs in one O(n + m) sweep, in increasing
     component id (= reverse topological) order.  Each entry is
-    structurally identical to
-    [Digraph.induced g (List.sort compare members)] for that component
-    — the same renumbering and arc order the per-component solvers have
-    always seen — without the O(m · count) repeated arc scans.  With
+    structurally identical to [Digraph.induced g members], with
+    [members] the component's nodes in increasing order — the same
+    renumbering and arc order the per-component solvers have always
+    seen — without the O(m · count) repeated arc scans.  With
     [nontrivial_only] (the default) components without a cycle are
-    skipped, mirroring {!nontrivial_components}. *)
+    skipped, as {!cyclic} decides. *)
 
 val condensation : Digraph.t -> t -> Digraph.t
 (** The component DAG: one node per component (same ids as

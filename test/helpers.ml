@@ -144,6 +144,15 @@ let jobs_sweep =
   | Some j when not (List.mem j [ 1; 2; 8 ]) -> [ 1; 2; 8; j ]
   | _ -> [ 1; 2; 8 ]
 
+(* Component id -> member nodes in increasing order. *)
+let scc_members g (scc : Scc.t) =
+  let members = Array.make scc.Scc.count [] in
+  for v = Digraph.n g - 1 downto 0 do
+    let c = scc.Scc.component.(v) in
+    members.(c) <- v :: members.(c)
+  done;
+  members
+
 (* The oracle value as a Ratio, for cross-checking. *)
 let oracle_mean objective g =
   Option.map

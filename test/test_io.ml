@@ -21,11 +21,18 @@ let test_parse_defaults_and_comments () =
   Alcotest.(check int) "explicit transit" 4 (Digraph.transit g 1);
   Alcotest.(check int) "1-indexed in file, 0-indexed in API" 0 (Digraph.src g 0)
 
-let expect_parse_error name input =
+(* every (parser, input) pair must be rejected with Failure *)
+let expect_parse_error name inputs =
   Alcotest.test_case name `Quick (fun () ->
-      match Graph_io.of_string input with
-      | exception Failure _ -> ()
-      | _ -> Alcotest.fail "expected a parse failure")
+      List.iter
+        (fun (parse, input) ->
+          match parse input with
+          | exception Failure _ -> ()
+          | _ -> Alcotest.failf "expected a parse failure on %S" input)
+        inputs)
+
+let native input = (Graph_io.of_string, input)
+let dimacs input = (Graph_io.of_dimacs, input)
 
 let test_file_io () =
   let path = Filename.temp_file "ocr_test" ".ocr" in
@@ -62,11 +69,14 @@ let suite =
     Alcotest.test_case "format details" `Quick test_format_details;
     Alcotest.test_case "defaults and comments" `Quick
       test_parse_defaults_and_comments;
-    expect_parse_error "arc before problem line" "a 1 2 3\n";
-    expect_parse_error "duplicate problem line" "p ocr 1 0\np ocr 1 0\n";
-    expect_parse_error "bad record" "p ocr 1 0\nx 1 2\n";
-    expect_parse_error "malformed arc" "p ocr 2 1\na 1 two 3\n";
-    expect_parse_error "missing problem line" "# nothing\n";
+    expect_parse_error "arc before problem line" [ native "a 1 2 3\n" ];
+    expect_parse_error "duplicate problem line"
+      [ native "p ocr 1 0\np ocr 1 0\n" ];
+    expect_parse_error "bad record"
+      [ native "p ocr 1 0\nx 1 2\n"; dimacs "p ocr 1 0\n" ];
+    expect_parse_error "malformed arc"
+      [ native "p ocr 2 1\na 1 two 3\n"; dimacs "p sp 2 1\na 1 2 3 4\n" ];
+    expect_parse_error "missing problem line" [ native "# nothing\n" ];
     Alcotest.test_case "file io" `Quick test_file_io;
     Alcotest.test_case "dot export" `Quick test_dot;
   ]

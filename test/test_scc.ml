@@ -35,22 +35,23 @@ let test_reverse_topological_numbering () =
 let test_members () =
   let g = Digraph.of_weighted_arcs 3 [ (0, 1, 1); (1, 0, 1) ] in
   let scc = Scc.compute g in
+  let members = Helpers.scc_members g scc in
   Alcotest.(check int) "count" 2 scc.Scc.count;
   let comp01 = scc.Scc.component.(0) in
-  Alcotest.(check (list int)) "members of {0,1}" [ 0; 1 ]
-    (List.sort compare scc.Scc.members.(comp01));
+  Alcotest.(check (list int)) "members of {0,1}" [ 0; 1 ] members.(comp01);
   Alcotest.(check (list int)) "members of {2}" [ 2 ]
-    scc.Scc.members.(scc.Scc.component.(2))
+    members.(scc.Scc.component.(2))
 
 let test_trivial () =
-  let g = Digraph.of_weighted_arcs 2 [ (0, 0, 1) ] in
+  let g = Digraph.of_weighted_arcs 3 [ (0, 0, 1); (1, 2, 1) ] in
   let scc = Scc.compute g in
-  Alcotest.(check bool) "self loop is not trivial" false
-    (Scc.is_trivial g scc scc.Scc.component.(0));
-  Alcotest.(check bool) "isolated node is trivial" true
-    (Scc.is_trivial g scc scc.Scc.component.(1));
-  Alcotest.(check int) "one nontrivial component" 1
-    (List.length (Scc.nontrivial_components g scc))
+  let cyclic = Scc.cyclic g scc in
+  Alcotest.(check bool) "self loop is cyclic" true
+    cyclic.(scc.Scc.component.(0));
+  Alcotest.(check bool) "acyclic singletons are not" false
+    (cyclic.(scc.Scc.component.(1)) || cyclic.(scc.Scc.component.(2)));
+  Alcotest.(check int) "one cyclic component" 1
+    (Array.fold_left (fun k c -> if c then k + 1 else k) 0 cyclic)
 
 let test_single_big_scc () =
   let g = Sprand.generate ~seed:5 ~n:100 ~m:300 () in
@@ -86,7 +87,7 @@ let qcheck_members_partition =
     (Helpers.arb_any_graph ~max_n:10 ~max_m:25 ())
     (fun g ->
       let scc = Scc.compute g in
-      let all = Array.to_list scc.Scc.members |> List.concat in
+      let all = Array.to_list (Helpers.scc_members g scc) |> List.concat in
       List.sort compare all = List.init (Digraph.n g) Fun.id)
 
 let suite =
@@ -133,16 +134,15 @@ let qcheck_partition_matches_induced =
     (fun g ->
       let scc = Scc.compute g in
       let subs = Array.to_list (Scc.partition g scc) in
+      let members = Helpers.scc_members g scc in
+      let is_cyclic = Scc.cyclic g scc in
       let cyclic =
-        List.filter
-          (fun c -> not (Scc.is_trivial g scc c))
-          (List.init scc.Scc.count Fun.id)
+        List.filter (Array.get is_cyclic) (List.init scc.Scc.count Fun.id)
       in
       List.length cyclic = List.length subs
       && List.for_all2
            (fun c (sp : Scc.subproblem) ->
-             let members = List.sort compare scc.Scc.members.(c) in
-             let sub, node_of_sub, arc_of_sub = Digraph.induced g members in
+             let sub, node_of_sub, arc_of_sub = Digraph.induced g members.(c) in
              sp.Scc.comp = c
              && Digraph.equal_structure sp.Scc.sub sub
              && sp.Scc.node_of_sub = node_of_sub

@@ -289,3 +289,80 @@ let suite =
         qcheck_parallel_determinism; qcheck_parallel_determinism_ratio;
         qcheck_all_families_jobs_bit_identical;
       ]
+
+(* ------------------------------------------------------------------ *)
+(* Solver.fan_out: the one per-SCC component loop                      *)
+(* ------------------------------------------------------------------ *)
+
+let with_pool jobs f =
+  let pool = Executor.create ~jobs in
+  Fun.protect ~finally:(fun () -> Executor.shutdown pool) (fun () -> f pool)
+
+let test_fan_out_item_order () =
+  (* uneven work per item, so a pool finishes them out of order *)
+  let items = Array.init 24 (fun i -> (i * 7919) mod 24) in
+  let work ?pool:_ x =
+    let acc = ref 0 in
+    for k = 1 to (x + 1) * 2000 do
+      acc := (!acc + k) land 0xffff
+    done;
+    (x, !acc)
+  in
+  let expected = Array.map (fun x -> Ok (work x)) items in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: results in item order" jobs)
+        true
+        (Solver.fan_out ~jobs ~size:(fun x -> x) items work = expected))
+    Helpers.jobs_sweep
+
+let test_fan_out_serial_stop () =
+  let ran = ref [] in
+  let f ?pool:_ i =
+    ran := i :: !ran;
+    if i = 2 then raise (Budget.Exceeded Budget.Iterations);
+    i
+  in
+  let results = Solver.fan_out ~size:(fun _ -> 1) [| 0; 1; 2; 3; 4 |] f in
+  Alcotest.(check (list int)) "stops at the first exhausted budget"
+    [ 0; 1; 2 ] (List.rev !ran);
+  Alcotest.(check bool) "the rest fail with its cause" true
+    (results
+    = [| Ok 0; Ok 1; Error Budget.Iterations; Error Budget.Iterations;
+         Error Budget.Iterations |])
+
+let test_fan_out_lone_item () =
+  with_pool (max 2 Helpers.default_jobs) (fun p ->
+      let caller = Domain.self () in
+      let r =
+        Solver.fan_out ~pool:p ~size:(fun _ -> 1) [| () |] (fun ?pool () ->
+            ( (match pool with Some q -> q == p | None -> false),
+              Domain.self () = caller ))
+      in
+      Alcotest.(check bool) "inner pool is the whole pool, run inline" true
+        (r = [| Ok (true, true) |]))
+
+let test_fan_out_arbitration () =
+  (* a saturated fan-out: only the item holding half the total size
+     nests the pool *)
+  with_pool 2 (fun p ->
+      let r =
+        Solver.fan_out ~pool:p ~size:Fun.id [| 100; 1; 1; 1 |] (fun ?pool _ ->
+            pool <> None)
+      in
+      Alcotest.(check bool) "only the dominant item gets the inner pool" true
+        (r = [| Ok true; Ok false; Ok false; Ok false |]))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "fan_out: results in item order" `Quick
+        test_fan_out_item_order;
+      Alcotest.test_case "fan_out: serial run stops at first budget" `Quick
+        test_fan_out_serial_stop;
+      Alcotest.test_case "fan_out: lone item inline with the pool" `Quick
+        test_fan_out_lone_item;
+      Alcotest.test_case "fan_out: arbitration of the inner pool" `Quick
+        test_fan_out_arbitration;
+    ]
