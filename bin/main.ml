@@ -68,10 +68,17 @@ let check_jobs jobs =
     exit 1
   end
 
+(* A rejected input — a malformed graph file, an instance the solver
+   preflight refuses — is a structured error: the message `ocr serve`
+   answers with, and exit 1. *)
+let reject msg =
+  prerr_endline ("ocr: " ^ msg);
+  exit 1
+
 (* .gr files use the DIMACS shortest-path format; anything else the
    native p/a format — the dispatch lives in Graph_io.load so every
    front-end (and the cluster workers) agrees on it *)
-let load_graph = Graph_io.load
+let load_graph file = try Graph_io.load file with Failure msg -> reject msg
 
 let emit output g =
   match output with
@@ -225,6 +232,9 @@ let solve_cmd =
     | Some eps -> (
       let stats = Stats.create () in
       match Approx.solve ~stats ?budget ~jobs ~problem ~objective ~eps g with
+      | exception Invalid_argument msg ->
+        finish_trace ();
+        reject msg
       | None ->
         finish_trace ();
         print_endline "acyclic graph: no cycle to optimize";
@@ -255,6 +265,9 @@ let solve_cmd =
         end)
     | None -> (
     match Solver.solve ~objective ~problem ?budget ~jobs ~algorithm g with
+    | exception Invalid_argument msg ->
+      finish_trace ();
+      reject msg
     | exception Solver.Deadline_exceeded { partial } ->
       finish_trace ();
       (match partial with

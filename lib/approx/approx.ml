@@ -26,17 +26,11 @@ let validate_eps eps =
 let sp_solve = Obs.intern "approx.solve"
 let sp_component = Obs.intern "approx.component"
 
-(* per-problem denominator callback and a-priori integer λ* bounds *)
-let problem_spec problem g =
-  match problem with
-  | Solver.Cycle_mean ->
-    ((fun _ -> 1), (Digraph.min_weight g, Digraph.max_weight g))
-  | Solver.Cycle_ratio ->
-    let maxabs =
-      Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-    in
-    let b = (Digraph.n g * maxabs) + 1 in
-    (Digraph.transit g, (-b, b))
+let name = "Approx.solve"
+
+let bracket = function
+  | Solver.Cycle_mean -> Critical.mean_bracket ~name
+  | Solver.Cycle_ratio -> Critical.ratio_bracket ~name
 
 (* the Altschuler–Parrilo-style truncation: ~1/ε rounds of value
    iteration per test, never more than n (after n rounds the exact
@@ -69,11 +63,11 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
         let tr = !Obs.enabled_flag in
         if tr then Trace.begin_span sp_component;
         let sub = sp.Scc.sub in
-        let den, bounds = problem_spec problem sub in
         let sub_stats = Stats.create () in
         let r =
-          Approx_lane.solve ~stats:sub_stats ?budget ?pool ~den ~bounds ~width
-            ~max_rounds:(truncation ~eps (Digraph.n sub)) sub
+          Approx_lane.solve ~stats:sub_stats ?budget ?pool ~width
+            ~max_rounds:(truncation ~eps (Digraph.n sub))
+            (bracket problem sub) sub
         in
         if tr then Trace.end_span sp_component;
         let witness = List.map (fun a -> sp.Scc.arc_of_sub.(a)) r.Approx_lane.witness in
@@ -106,7 +100,7 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
       (match stats with
       | Some s -> Stats.add s !merged_stats
       | None -> ());
-      let den_g, (blo_g, _) = problem_spec problem g_min in
+      let b = bracket problem g_min in
       (* components the budget never reached only widen the interval:
          their λ* is still above the graph-wide a-priori lower bound,
          and any completed component's hi keeps bounding the global
@@ -114,7 +108,7 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
       let lo =
         match !lo with
         | Some (l, ()) when not !skipped -> l
-        | _ -> Ratio.of_int blo_g
+        | _ -> Ratio.of_int b.Critical.lo
       in
       let hi, witness =
         match !upper with
@@ -122,12 +116,8 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
         | None ->
           (* every component was budget-skipped: fall back to an exact
              O(n+m) witness so even a fully starved solve certifies *)
-          let c =
-            match Critical.cycle_in g_min (fun _ -> true) with
-            | Some c -> c
-            | None -> assert false (* subs is non-empty *)
-          in
-          (Critical.ratio_of_cycle g_min ~den:den_g c, c)
+          let c = Critical.start_cycle ~name g_min in
+          (Critical.ratio_of_cycle g_min ~den:b.Critical.den c, c)
       in
       let converged =
         (not !skipped) && !all_converged
@@ -178,39 +168,3 @@ let recheck ?(problem = Solver.Cycle_mean) ?(objective = Solver.Minimize) g
       if Ratio.equal r attained then Ok ()
       else Error "approx certificate: witness does not attain its bound"
   with _ -> Error "approx certificate: witness refers outside this graph"
-
-(* ------------------------------------------------------------------ *)
-(* Registry lane                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* the strongly-connected entry points the Registry hook expects,
-   mirroring Registry.minimum_cycle_mean/_ratio *)
-let lane_run problem ?stats ?budget ?pool ~eps g =
-  (match validate_eps eps with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("approx lane: " ^ msg));
-  (match problem with
-  | Solver.Cycle_ratio -> Critical.assert_ratio_well_posed g
-  | Solver.Cycle_mean -> ());
-  let den, bounds = problem_spec problem g in
-  let width = eps *. scale g in
-  let r =
-    Approx_lane.solve ?stats ?budget ?pool ~den ~bounds ~width
-      ~max_rounds:(truncation ~eps (Digraph.n g)) g
-  in
-  {
-    Registry.lane_lo = r.Approx_lane.lo;
-    lane_hi = r.Approx_lane.hi;
-    lane_witness = r.Approx_lane.witness;
-    lane_tests = r.Approx_lane.tests;
-    lane_rounds = r.Approx_lane.rounds;
-    lane_converged = r.Approx_lane.converged;
-  }
-
-let () =
-  Registry.register_lane
-    {
-      Registry.lane_name = "approx";
-      lane_mean = lane_run Solver.Cycle_mean;
-      lane_ratio = lane_run Solver.Cycle_ratio;
-    }

@@ -7,10 +7,7 @@
     the bound on the achievable side.  Both sides are exact rational
     arithmetic — the approximation is only in how tightly the interval
     pins λ*, never in the soundness of its endpoints.  See
-    [docs/APPROX.md] for the algorithm and the certificate semantics.
-
-    The module registers itself as the ["approx"] lane in {!Registry}
-    at initialization time. *)
+    [docs/APPROX.md] for the algorithm and the certificate semantics. *)
 
 type certificate = {
   lo : Ratio.t;  (** certified lower bound: [lo <= λ*] *)

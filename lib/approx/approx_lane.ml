@@ -10,33 +10,27 @@ type t = {
 let sp_lane = Obs.intern "approx.lane"
 let sp_tests = Obs.intern "approx.tests"
 
-let solve ?stats ?budget ?pool ~den ~bounds ~width ~max_rounds g =
-  if Digraph.m g = 0 then invalid_arg "Approx_lane.solve: graph has no arcs";
+let solve ?stats ?budget ?pool ~width ~max_rounds (b : Critical.bracket) g =
   if not (Float.is_finite width) || width <= 0.0 then
     invalid_arg "Approx_lane.solve: width must be positive and finite";
+  let den = b.Critical.den in
+  let witness = ref (Critical.start_cycle ~name:"Approx_lane.solve" g) in
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_lane;
   let n = Digraph.n g in
   let m = Digraph.m g in
-  let witness =
-    ref
-      (match Critical.cycle_in g (fun _ -> true) with
-      | Some c -> c
-      | None -> invalid_arg "Approx_lane.solve: graph is acyclic")
-  in
   let hi = ref (Critical.ratio_of_cycle g ~den !witness) in
-  let blo, bhi = bounds in
-  let lo = ref (Ratio.of_int blo) in
+  let lo = ref (Ratio.of_int b.Critical.lo) in
   (* Grid denominator: fine enough to quarter the width target, coarse
-     enough that |q·w - p·den| stays ≤ q·(wmax + bmag·dmax) per arc and
-     every ≤ n-arc walk sum stays within max_int/8 — the overflow
+     enough that |q·w - p·den| stays ≤ q·(wmax + bmag·arc_den) per arc
+     and every ≤ n-arc walk sum stays within max_int/8 — the overflow
      headroom contract the whole exact layer relies on. *)
   let wmax =
     max 1 (max (abs (Digraph.min_weight g)) (abs (Digraph.max_weight g)))
   in
-  let dmax = Digraph.fold_arcs g (fun acc a -> max acc (den a)) 1 in
-  let bmag = max (abs blo) (abs bhi) + 1 in
-  let q_safe = max 1 (max_int / 8 / (n + 1) / (wmax + (bmag * dmax))) in
+  let arc_den = Digraph.fold_arcs g (fun acc a -> max acc (den a)) 1 in
+  let bmag = max (abs b.Critical.lo) (abs b.Critical.hi) + 1 in
+  let q_safe = max 1 (max_int / 8 / (n + 1) / (wmax + (bmag * arc_den))) in
   let q_target = Dyadic.denom_for (width /. 4.0) in
   let q = if q_target <= q_safe then q_target else Dyadic.floor_pow2 q_safe in
   let tests = ref 0 in

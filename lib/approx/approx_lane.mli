@@ -33,15 +33,14 @@ type t = {
 }
 
 val solve :
-  ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
-  den:(int -> int) -> bounds:int * int -> width:float -> max_rounds:int ->
-  Digraph.t -> t
-(** [solve ~den ~bounds ~width ~max_rounds g] on a strongly connected
-    [g] with at least one arc.  [den a = 1] gives the cycle mean,
-    [den a = transit a] the cost-to-time ratio.  [bounds = (blo, bhi)]
-    are a-priori integer bounds on λ*, [width] the absolute target for
+  ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t -> width:float ->
+  max_rounds:int -> Critical.bracket -> Digraph.t -> t
+(** [solve ~width ~max_rounds b g] on a strongly connected [g] with at
+    least one arc.  The bracket [b] ({!Critical.mean_bracket} or
+    {!Critical.ratio_bracket}) gives the problem's [den] and the
+    a-priori integer bounds on λ*; [width] is the absolute target for
     [hi - lo], [max_rounds] the value-iteration truncation per test.
     A budget interruption returns the current (sound) interval with
     [converged = false] instead of raising.
-    @raise Invalid_argument on arcless or acyclic input, or if [width]
-    is not positive and finite. *)
+    @raise Invalid_argument on acyclic input, or if [width] is not
+    positive and finite. *)

@@ -32,13 +32,12 @@ let xi_of_tight g tight =
   done;
   xi
 
-let any_cycle g =
-  match Critical.cycle_in g (fun _ -> true) with
-  | Some c -> c
-  | None -> invalid_arg "Burns: input graph is acyclic"
+let name = "Burns"
 
-let solve ?stats ~den ~lambda0 ~epsilon g =
-  if Digraph.m g = 0 then invalid_arg "Burns: graph has no arcs";
+let solve ?stats ~epsilon (b : Critical.bracket) g =
+  let den = b.Critical.den in
+  (* every cycle ratio is at least the bracket's lower end *)
+  let lambda0 = float_of_int b.Critical.lo in
   let n = Digraph.n g in
   let m = Digraph.m g in
   let maxabs =
@@ -87,7 +86,7 @@ let solve ?stats ~den ~lambda0 ~epsilon g =
       if !theta = infinity || !theta <= 0.0 then
         (* no useful step (numerically stuck): bail out to the exact
            finisher from any cycle *)
-        result := Some (any_cycle g)
+        result := Some (Critical.start_cycle ~name g)
       else begin
         lambda := !lambda +. !theta;
         for v = 0 to n - 1 do
@@ -95,19 +94,14 @@ let solve ?stats ~den ~lambda0 ~epsilon g =
         done
       end
   done;
-  let cycle = match !result with Some c -> c | None -> any_cycle g in
+  let cycle =
+    match !result with Some c -> c | None -> Critical.start_cycle ~name g
+  in
   Critical.improve_to_optimal ?stats ~den g cycle
 
 let minimum_cycle_mean ?stats ?(epsilon = 1e-9) g =
-  (* every cycle mean is at least the minimum arc weight *)
-  let lambda0 = float_of_int (Digraph.min_weight g) in
-  solve ?stats ~den:(fun _ -> 1) ~lambda0 ~epsilon g
+  solve ?stats ~epsilon (Critical.mean_bracket ~name g) g
 
 let minimum_cycle_ratio ?stats ?(epsilon = 1e-9) g =
   Critical.assert_ratio_well_posed g;
-  (* safe lower bound: |w(C)/t(C)| <= n·max|w| when t(C) >= 1 *)
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-  in
-  let lambda0 = float_of_int (-(Digraph.n g * maxabs) - 1) in
-  solve ?stats ~den:(Digraph.transit g) ~lambda0 ~epsilon g
+  solve ?stats ~epsilon (Critical.ratio_bracket ~name g) g

@@ -58,6 +58,39 @@ let find_cycle_in_subgraph g keep =
 
 let cycle_in g keep = find_cycle_in_subgraph g keep
 
+let start_cycle ~name g =
+  match cycle_in g (fun _ -> true) with
+  | Some c -> c
+  | None -> invalid_arg (name ^ ": input graph is acyclic")
+
+type bracket = { den : int -> int; lo : int; hi : int; dmax : int }
+
+let check_arcs ~name g =
+  if Digraph.m g = 0 then invalid_arg (name ^ ": graph has no arcs")
+
+let mean_bracket ~name g =
+  check_arcs ~name g;
+  {
+    den = (fun _ -> 1);
+    lo = Digraph.min_weight g;
+    hi = Digraph.max_weight g;
+    dmax = max 1 (Digraph.n g);
+  }
+
+let ratio_bracket ~name g =
+  check_arcs ~name g;
+  (* with t(C) >= 1 every cycle ratio lies within ±n·max|w| *)
+  let maxabs =
+    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
+  in
+  let b = (Digraph.n g * maxabs) + 1 in
+  {
+    den = Digraph.transit g;
+    lo = -b;
+    hi = b;
+    dmax = max 1 (Digraph.total_transit g);
+  }
+
 let assert_ratio_well_posed g =
   match find_cycle_in_subgraph g (fun a -> Digraph.transit g a = 0) with
   | Some _ ->

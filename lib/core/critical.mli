@@ -25,6 +25,34 @@ val cycle_in : Digraph.t -> (int -> bool) -> int list option
     subgraph of arcs selected by [keep], or [None] if it is acyclic.
     DFS, O(n + m). *)
 
+val start_cycle : name:string -> Digraph.t -> int list
+(** Some cycle of the graph, the start candidate of every λ-search.
+    @raise Invalid_argument ["<name>: input graph is acyclic"]. *)
+
+(** {1 A-priori bracket}
+
+    The λ-searches (Lawler, OA, Burns, Stern–Brocot, the approx lane)
+    start from the same a-priori facts about λ*, computed here once. *)
+
+type bracket = {
+  den : int -> int;  (** [fun _ -> 1] for means, [transit] for ratios *)
+  lo : int;  (** [lo <= λ*] *)
+  hi : int;  (** [λ* <= hi] *)
+  dmax : int;
+      (** bound on the denominator of λ*: [n] for means, the total
+          transit time for ratios (at least 1) *)
+}
+
+val mean_bracket : name:string -> Digraph.t -> bracket
+(** Bounds [min w, max w].
+    @raise Invalid_argument ["<name>: graph has no arcs"]. *)
+
+val ratio_bracket : name:string -> Digraph.t -> bracket
+(** Bounds [±(n·max|w| + 1)], valid when every cycle has positive
+    transit; checking that is left to the public entry points
+    ({!assert_ratio_well_posed}).
+    @raise Invalid_argument ["<name>: graph has no arcs"]. *)
+
 type position =
   | Below  (** λ < λ*: feasible potentials exist but no cycle attains λ *)
   | Optimal of int list

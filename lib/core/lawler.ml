@@ -1,79 +1,79 @@
-let any_cycle g =
-  match Critical.cycle_in g (fun _ -> true) with
-  | Some c -> c
-  | None -> invalid_arg "Lawler: input graph is acyclic"
+let name = "Lawler"
 
-let solve ?stats ~den ~lo ~hi ~epsilon ~exact_finish ~improved g =
-  if Digraph.m g = 0 then invalid_arg "Lawler: graph has no arcs";
-  let lo = ref lo and hi = ref hi in
-  let candidate = ref None in
+let default_eps (b : Critical.bracket) =
+  (* distinct ratios with denominators at most dmax differ by at least
+     1/dmax², so this width already pins the optimum to a unique value *)
+  let d = float_of_int (max 2 b.Critical.dmax) in
+  1.0 /. (2.0 *. d *. d)
+
+let oracle ?stats (b : Critical.bracket) g mid =
+  (match stats with
+  | Some s -> s.Stats.oracle_calls <- s.Stats.oracle_calls + 1
+  | None -> ());
   let on_relax =
     Option.map (fun s () -> s.Stats.relaxations <- s.Stats.relaxations + 1) stats
   in
-  while !hi -. !lo > epsilon do
-    (match stats with
-    | Some s ->
-      s.Stats.iterations <- s.Stats.iterations + 1;
-      s.Stats.oracle_calls <- s.Stats.oracle_calls + 1
-    | None -> ());
+  let den = b.Critical.den in
+  let cost a =
+    float_of_int (Digraph.weight g a) -. (mid *. float_of_int (den a))
+  in
+  Bellman_ford.run_float ?on_relax ~cost g
+
+let search ?stats ~name ~improved ~exact_finish ~eps ~probe
+    (b : Critical.bracket) g =
+  let den = b.Critical.den in
+  let lo = ref (float_of_int b.Critical.lo)
+  and hi = ref (float_of_int b.Critical.hi) in
+  let candidate = ref None in
+  let running = ref true in
+  while !running do
     let mid = 0.5 *. (!lo +. !hi) in
-    let cost a =
-      float_of_int (Digraph.weight g a) -. (mid *. float_of_int (den a))
-    in
-    match Bellman_ford.run_float ?on_relax ~cost g with
-    | Error cycle ->
-      (* a cycle with ratio < mid exists: λ* < mid.  The improved
-         variant uses the witness itself as the new upper bound — the
-         cycle's exact ratio is at most mid but usually far below it,
-         so the interval shrinks by much more than half. *)
-      candidate := Some cycle;
-      hi :=
-        if improved then
-          Float.min mid (Ratio.to_float (Critical.ratio_of_cycle g ~den cycle))
-        else mid
-    | Ok _ ->
-      (* no negative cycle: λ* >= mid *)
-      lo := mid
+    if !hi -. !lo <= eps || not (!lo < mid && mid < !hi) then
+      (* width reached, or no float left strictly inside the interval:
+         further probes could not move either end *)
+      running := false
+    else begin
+      (match stats with
+      | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
+      | None -> ());
+      match probe mid with
+      | Some cycle ->
+        (* a cycle with ratio < mid exists: λ* < mid.  The improved
+           variant uses the witness itself as the new upper bound — the
+           cycle's exact ratio is at most mid but usually far below it,
+           so the interval shrinks by much more than half. *)
+        candidate := Some cycle;
+        hi :=
+          if improved then
+            Float.min mid (Ratio.to_float (Critical.ratio_of_cycle g ~den cycle))
+          else mid
+      | None ->
+        (* no cycle below mid: λ* >= mid *)
+        lo := mid
+    end
   done;
-  let cycle = match !candidate with Some c -> c | None -> any_cycle g in
+  let cycle =
+    match !candidate with Some c -> c | None -> Critical.start_cycle ~name g
+  in
   if exact_finish then Critical.improve_to_optimal ?stats ~den g cycle
   else (Critical.ratio_of_cycle g ~den cycle, cycle)
 
-let bounds_mean g =
-  (float_of_int (Digraph.min_weight g), float_of_int (Digraph.max_weight g))
-
-let bounds_ratio g =
-  (* with t(C) >= 1 every cycle ratio lies within ±n·max|w| *)
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
+let solve ?stats ?epsilon ~exact_finish ~improved b g =
+  let probe mid =
+    match oracle ?stats b g mid with Error cycle -> Some cycle | Ok _ -> None
   in
-  let b = float_of_int ((Digraph.n g * maxabs) + 1) in
-  (-.b, b)
+  let eps = Option.value epsilon ~default:(default_eps b) in
+  search ?stats ~name ~improved ~exact_finish ~eps ~probe b g
 
 let minimum_cycle_mean ?stats ?epsilon ?(exact_finish = true)
     ?(improved = false) g =
-  let lo, hi = bounds_mean g in
-  let epsilon =
-    match epsilon with
-    | Some e -> e
-    | None ->
-      (* distinct cycle means differ by at least 1/n², so this width
-         already pins the optimum to a unique value *)
-      let n = float_of_int (max 2 (Digraph.n g)) in
-      1.0 /. (2.0 *. n *. n)
-  in
-  solve ?stats ~den:(fun _ -> 1) ~lo ~hi ~epsilon ~exact_finish ~improved g
+  solve ?stats ?epsilon ~exact_finish ~improved
+    (Critical.mean_bracket ~name g)
+    g
 
 let minimum_cycle_ratio ?stats ?epsilon ?(exact_finish = true)
     ?(improved = false) g =
   Critical.assert_ratio_well_posed g;
-  let lo, hi = bounds_ratio g in
-  let epsilon =
-    match epsilon with
-    | Some e -> e
-    | None ->
-      let t = float_of_int (max 2 (Digraph.total_transit g)) in
-      1.0 /. (2.0 *. t *. t)
-  in
-  solve ?stats ~den:(Digraph.transit g) ~lo ~hi ~epsilon ~exact_finish
-    ~improved g
+  solve ?stats ?epsilon ~exact_finish ~improved
+    (Critical.ratio_bracket ~name g)
+    g

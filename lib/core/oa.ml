@@ -1,92 +1,48 @@
-let any_cycle g =
-  match Critical.cycle_in g (fun _ -> true) with
-  | Some c -> c
-  | None -> invalid_arg "Oa: input graph is acyclic"
+let name = "Oa"
 
-(* Scaling search: bisection over λ in which node prices survive from
-   phase to phase.  At each probe λ=mid we first look for a cycle in
-   the admissible graph (arcs whose reduced cost under the prices is
-   non-positive) — a sound "λ* <= mid" certificate obtained in O(m) —
-   and only run the full Bellman-Ford oracle when the quick test is
-   inconclusive. *)
-let solve ?stats ~den ~lo ~hi ~epsilon g =
-  if Digraph.m g = 0 then invalid_arg "Oa: graph has no arcs";
+(* Scaling search: Lawler's bisection over λ in which node prices
+   survive from phase to phase.  At each probe λ=mid we first look for
+   a cycle in the admissible graph (arcs whose reduced cost under the
+   prices is non-positive) — a sound "λ* <= mid" certificate obtained
+   in O(m) — and only run the full Bellman-Ford oracle when the quick
+   test is inconclusive. *)
+let solve ?stats ?epsilon ~exact_finish (b : Critical.bracket) g =
   let n = Digraph.n g in
+  let den = b.Critical.den in
   let prices = Array.make n 0.0 in
-  let lo = ref lo and hi = ref hi in
-  let candidate = ref None in
-  let on_relax =
-    Option.map (fun s () -> s.Stats.relaxations <- s.Stats.relaxations + 1) stats
-  in
-  while !hi -. !lo > epsilon do
-    (match stats with
-    | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
-    | None -> ());
-    let mid = 0.5 *. (!lo +. !hi) in
+  let probe mid =
     let reduced a =
       float_of_int (Digraph.weight g a)
       -. (mid *. float_of_int (den a))
       +. prices.(Digraph.src g a)
       -. prices.(Digraph.dst g a)
     in
-    let admissible a = reduced a <= 0.0 in
-    (match Critical.cycle_in g admissible with
-    | Some cycle ->
+    match Critical.cycle_in g (fun a -> reduced a <= 0.0) with
+    | Some _ as cycle ->
       (* all reduced costs on the cycle are <= 0 and prices telescope,
          so the cycle's ratio is <= mid *)
-      candidate := Some cycle;
-      hi := mid
-    | None ->
-      (match stats with
-      | Some s -> s.Stats.oracle_calls <- s.Stats.oracle_calls + 1
-      | None -> ());
-      let cost a =
-        float_of_int (Digraph.weight g a) -. (mid *. float_of_int (den a))
-      in
-      (match Bellman_ford.run_float ?on_relax ~cost g with
-      | Error cycle ->
-        candidate := Some cycle;
-        hi := mid
+      cycle
+    | None -> (
+      match Lawler.oracle ?stats b g mid with
+      | Error cycle -> Some cycle
       | Ok pot ->
         (* refresh the prices with the feasible potentials *)
         Array.blit pot 0 prices 0 n;
-        lo := mid))
-  done;
-  match !candidate with Some c -> c | None -> any_cycle g
-
-let default_epsilon g =
-  let n = float_of_int (max 2 (Digraph.n g)) in
-  1.0 /. (2.0 *. n *. n)
-
-let bounds_mean g =
-  (float_of_int (Digraph.min_weight g), float_of_int (Digraph.max_weight g))
-
-let bounds_ratio g =
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
+        None)
   in
-  let b = float_of_int ((Digraph.n g * maxabs) + 1) in
-  (-.b, b)
-
-let run ?stats ~den ~bounds ~exact ?epsilon g =
-  let epsilon = match epsilon with Some e -> e | None -> default_epsilon g in
-  let lo, hi = bounds g in
-  let cycle = solve ?stats ~den ~lo ~hi ~epsilon g in
-  if exact then Critical.improve_to_optimal ?stats ~den g cycle
-  else (Critical.ratio_of_cycle g ~den cycle, cycle)
-
-let mean_den _ = 1
+  let eps = Option.value epsilon ~default:(Lawler.default_eps b) in
+  Lawler.search ?stats ~name ~improved:false ~exact_finish ~eps ~probe b g
 
 let oa1_minimum_cycle_mean ?stats ?epsilon g =
-  run ?stats ~den:mean_den ~bounds:bounds_mean ~exact:false ?epsilon g
+  solve ?stats ?epsilon ~exact_finish:false (Critical.mean_bracket ~name g) g
 
 let oa2_minimum_cycle_mean ?stats ?epsilon g =
-  run ?stats ~den:mean_den ~bounds:bounds_mean ~exact:true ?epsilon g
+  solve ?stats ?epsilon ~exact_finish:true (Critical.mean_bracket ~name g) g
 
 let oa1_minimum_cycle_ratio ?stats ?epsilon g =
   Critical.assert_ratio_well_posed g;
-  run ?stats ~den:(Digraph.transit g) ~bounds:bounds_ratio ~exact:false ?epsilon g
+  solve ?stats ?epsilon ~exact_finish:false (Critical.ratio_bracket ~name g) g
 
 let oa2_minimum_cycle_ratio ?stats ?epsilon g =
   Critical.assert_ratio_well_posed g;
-  run ?stats ~den:(Digraph.transit g) ~bounds:bounds_ratio ~exact:true ?epsilon g
+  solve ?stats ?epsilon ~exact_finish:true (Critical.ratio_bracket ~name g) g

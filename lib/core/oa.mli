@@ -14,6 +14,9 @@
        cycle that is non-positive under the current prices — before
        falling back to a full Bellman–Ford oracle (whose potentials
        refresh the prices);}
+    {- the phases are the probes of {!Lawler.search}, the one float
+       bisection, so OA shares Lawler's bracket, stop rule and default
+       precision ({!Lawler.default_eps});}
     {- OA1 stops at precision [epsilon], exactly as the paper's
        "approximate" classification;}
     {- OA2 additionally runs the exact finisher

@@ -31,16 +31,15 @@ let tick stats budget =
   | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
   | None -> ()
 
-let search ?stats ?budget ~den ~lower_int ~dmax g =
-  let c0 =
-    match Critical.cycle_in g (fun _ -> true) with
-    | Some c -> c
-    | None -> invalid_arg "Stern_brocot: input graph is acyclic"
-  in
+let name = "Stern_brocot"
+
+let search ?stats ?budget (b : Critical.bracket) g =
+  let den = b.Critical.den and dmax = b.Critical.dmax in
+  let c0 = Critical.start_cycle ~name g in
   let hi = ref (Critical.ratio_of_cycle g ~den c0) in
-  (* L = la/lb < λ* (strict, from the a-priori bound), R = rc/rd ≥ λ*;
+  (* L = la/lb < λ* (strict: one below the a-priori bound), R = rc/rd ≥ λ*;
      1/0 is the tree's right sentinel and keeps (L, R) unimodular *)
-  let la = ref (lower_int - 1) and lb = ref 1 in
+  let la = ref (b.Critical.lo - 1) and lb = ref 1 in
   let rc = ref 1 and rd = ref 0 in
   let step = ref 1 in
   let result = ref None in
@@ -97,30 +96,9 @@ let search ?stats ?budget ~den ~lower_int ~dmax g =
 
 let minimum_cycle_mean ?stats ?budget ?pool g =
   ignore pool;
-  if Digraph.m g = 0 then invalid_arg "Stern_brocot: graph has no arcs";
-  search ?stats ?budget
-    ~den:(fun _ -> 1)
-    ~lower_int:(Digraph.min_weight g)
-    ~dmax:(max 1 (Digraph.n g))
-    g
+  search ?stats ?budget (Critical.mean_bracket ~name g) g
 
 let minimum_cycle_ratio ?stats ?budget ?pool g =
   ignore pool;
-  if Digraph.m g = 0 then invalid_arg "Stern_brocot: graph has no arcs";
   Critical.assert_ratio_well_posed g;
-  let maxabs =
-    Digraph.fold_arcs g (fun acc a -> max acc (abs (Digraph.weight g a))) 1
-  in
-  search ?stats ?budget
-    ~den:(Digraph.transit g)
-    ~lower_int:(-((Digraph.n g * maxabs) + 1))
-    ~dmax:(max 1 (Digraph.total_transit g))
-    g
-
-let () =
-  Registry.register_exact_lane
-    {
-      Registry.exact_name = "exact";
-      exact_mean = minimum_cycle_mean;
-      exact_ratio = minimum_cycle_ratio;
-    }
+  search ?stats ?budget (Critical.ratio_bracket ~name g) g

@@ -9,8 +9,7 @@
     descent; witness cycles returned by Above probes accelerate the
     walk the way the improved Lawler search does.  See docs/EXACT.md.
 
-    Registers itself as the exact lane ["exact"]
-    ({!Registry.register_exact_lane}) at module initialization.
+    The engine runs it for [algorithm=exact] requests.
 
     Both entry points assume a strongly connected input with at least
     one arc (use the engine or {!Solver}-style per-SCC decomposition

@@ -232,9 +232,6 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
         match spec.Request.algorithm with
         | Request.Fixed a -> [ (Registry.name a, None, runner_of a) ]
         | Request.Exact ->
-          (* direct dispatch (not through Registry.exact_lane) so the
-             linker keeps Stern_brocot — and its lane registration —
-             in every binary that links the engine *)
           let run =
             match spec.Request.problem with
             | Solver.Cycle_mean -> Stern_brocot.minimum_cycle_mean
@@ -252,7 +249,10 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
          sweep inside one giant component; the budget stays safe there
          because Howard ticks it on the coordinating domain only, never
          from a chunk task *)
-      let solve_component (run : Registry.exact_solver) iter_budget ?pool
+      let solve_component
+          (run :
+            ?stats:Stats.t -> ?budget:Budget.t -> ?pool:Executor.t ->
+            Digraph.t -> Ratio.t * int list) iter_budget ?pool
           (sp : Scc.subproblem) =
         let sub_stats = Stats.create () in
         let budget =

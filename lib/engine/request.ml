@@ -98,22 +98,18 @@ let parse_kv spec token =
       match Registry.of_name name with
       | Some a -> Ok { spec with algorithm = Fixed a }
       | None -> (
-        (* lanes register by name at module init: the "approx" interval
-           lane (Registry.register_lane) and the "exact" Stern–Brocot
-           lane (Registry.register_exact_lane) *)
-        match Registry.lane name with
-        | Some _ -> Ok { spec with algorithm = Approx }
-        | None -> (
-          match Registry.exact_lane name with
-          | Some _ -> Ok { spec with algorithm = Exact }
-          | None ->
-            Error
-              (Printf.sprintf
-                 "unknown algorithm %S (expected auto%s or one of: %s)" v
-                 (match Registry.lane_names () @ Registry.exact_lane_names () with
-                 | [] -> ""
-                 | lanes -> ", " ^ String.concat ", " lanes)
-                 (String.concat ", " (List.map Registry.name Registry.all))))))
+        (* the two lanes outside the table: the certified interval lane
+           and the Stern–Brocot exact lane *)
+        match name with
+        | "approx" -> Ok { spec with algorithm = Approx }
+        | "exact" -> Ok { spec with algorithm = Exact }
+        | _ ->
+          Error
+            (Printf.sprintf
+               "unknown algorithm %S (expected auto, approx, exact or one of: \
+                %s)"
+               v
+               (String.concat ", " (List.map Registry.name Registry.all)))))
     | "mode", "float" -> Ok { spec with mode = Float_answer }
     | "mode", "exact" -> Ok { spec with mode = Exact_answer }
     | "mode", _ ->

@@ -28,10 +28,8 @@
 type algorithm_choice =
   | Auto
   | Fixed of Registry.algorithm
-  | Approx  (** the certified ε-interval lane ({!Registry.lane} "approx") *)
-  | Exact
-      (** the Stern–Brocot exact lane
-          ({!Registry.exact_lane} "exact") *)
+  | Approx  (** [algorithm=approx]: the certified ε-interval lane *)
+  | Exact  (** [algorithm=exact]: the Stern–Brocot exact lane *)
 
 val algorithm_choice_name : algorithm_choice -> string
 

@@ -606,3 +606,118 @@ let qcheck_oa1_epsilon_bound =
 
 let suite =
   suite @ Helpers.qtests [ qcheck_lawler_epsilon_bound; qcheck_oa1_epsilon_bound ]
+
+(* -------------------- the shared λ-search core --------------------- *)
+
+(* OA used to stop its ratio bisection at the mean-problem precision
+   1/(2n²); on this instance (total transit ≈ 3.3e6) that left a
+   non-optimal cycle of ratio 1002/147503 *)
+let test_oa1_ratio_precision () =
+  let g = Sprand.generate ~seed:14 ~transits:(1, 100000) ~n:16 ~m:64 () in
+  let howard, _ = Howard.minimum_cycle_ratio g in
+  Helpers.check_ratio "howard" (Helpers.r 1015 169741) howard;
+  let lambda, cycle = Oa.oa1_minimum_cycle_ratio g in
+  Helpers.check_ratio "oa1 = howard" howard lambda;
+  Helpers.check_ratio "witness attains it" howard
+    (Critical.ratio_of_cycle g ~den:(Digraph.transit g) cycle)
+
+(* λ* = 10000 sits where float spacing (≈1.8e-12) exceeds the default
+   precision 1/(2·(2·10^6 + 2)²): the bisection must stop once no float
+   is left strictly inside its interval *)
+let test_bisection_stops_at_float_resolution () =
+  let g =
+    Digraph.of_arcs 3
+      [
+        (0, 1, 10000, 1);
+        (1, 0, 10000, 1);
+        (0, 2, 0, 1_000_000);
+        (2, 0, 0, 1_000_000);
+      ]
+  in
+  List.iter
+    (fun alg ->
+      match
+        Solver.solve ~objective:Solver.Maximize ~problem:Solver.Cycle_ratio
+          ~algorithm:alg g
+      with
+      | Some r ->
+        Helpers.check_ratio (Registry.name alg) (Helpers.r 10000 1)
+          r.Solver.lambda
+      | None -> Alcotest.fail "unexpectedly acyclic")
+    Registry.[ Lawler; Oa1; Oa2 ]
+
+(* Every λ-search lane rejects the same three inputs with its own name
+   in the message: an arcless graph, an acyclic graph, and (for the
+   ratio) a cycle of zero total transit. *)
+let test_search_lanes_reject () =
+  let arcless = Digraph.of_arcs 2 [] in
+  let acyclic = Digraph.of_arcs 2 [ (0, 1, 3, 1) ] in
+  let zero_transit = Digraph.of_arcs 2 [ (0, 1, 3, 0); (1, 0, 4, 0) ] in
+  let zero_msg =
+    "cost-to-time ratio undefined: the graph has a cycle of zero total \
+     transit time"
+  in
+  let lane name mean ratio =
+    [
+      (name ^ " arcless", (fun () -> mean arcless), name ^ ": graph has no arcs");
+      ( name ^ " acyclic",
+        (fun () -> mean acyclic),
+        name ^ ": input graph is acyclic" );
+      (name ^ " zero transit", (fun () -> ratio zero_transit), zero_msg);
+    ]
+  in
+  let ignore2 f g = ignore (f g) in
+  let approx_lane bracket g =
+    ignore
+      (Approx_lane.solve ~width:0.1 ~max_rounds:16
+         (bracket ~name:"Approx_lane.solve" g)
+         g)
+  in
+  let cases =
+    lane "Lawler"
+      (ignore2 (fun g -> Lawler.minimum_cycle_mean g))
+      (ignore2 (fun g -> Lawler.minimum_cycle_ratio g))
+    @ lane "Oa"
+        (ignore2 (fun g -> Oa.oa1_minimum_cycle_mean g))
+        (ignore2 (fun g -> Oa.oa1_minimum_cycle_ratio g))
+    @ lane "Oa"
+        (ignore2 (fun g -> Oa.oa2_minimum_cycle_mean g))
+        (ignore2 (fun g -> Oa.oa2_minimum_cycle_ratio g))
+    @ lane "Burns"
+        (ignore2 (fun g -> Burns.minimum_cycle_mean g))
+        (ignore2 (fun g -> Burns.minimum_cycle_ratio g))
+    @ lane "Stern_brocot"
+        (ignore2 (fun g -> Stern_brocot.minimum_cycle_mean g))
+        (ignore2 (fun g -> Stern_brocot.minimum_cycle_ratio g))
+    @ (* the lane leaves the zero-transit check to its public entry,
+         Approx.solve, whose preflight answers with Solver's message *)
+    [
+      ( "Approx_lane arcless",
+        (fun () -> approx_lane Critical.mean_bracket arcless),
+        "Approx_lane.solve: graph has no arcs" );
+      ( "Approx_lane acyclic",
+        (fun () -> approx_lane Critical.mean_bracket acyclic),
+        "Approx_lane.solve: input graph is acyclic" );
+      ( "Approx zero transit",
+        (fun () ->
+          ignore
+            (Approx.solve ~problem:Solver.Cycle_ratio ~eps:0.1 zero_transit)),
+        "Solver: cycle with zero total transit time (cost-to-time ratio \
+         undefined)" );
+    ]
+  in
+  List.iter
+    (fun (case, run, msg) ->
+      Alcotest.check_raises case (Invalid_argument msg) run)
+    cases
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "OA1 ratio uses the transit precision" `Quick
+        test_oa1_ratio_precision;
+      Alcotest.test_case "bisection stops at float resolution" `Quick
+        test_bisection_stops_at_float_resolution;
+      Alcotest.test_case "lambda-search lanes reject bad input" `Quick
+        test_search_lanes_reject;
+    ]

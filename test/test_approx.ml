@@ -99,21 +99,19 @@ let test_budget_starvation () =
   Alcotest.(check bool) "exact <= hi" true (Ratio.leq exact c.Approx.hi);
   Alcotest.(check (result unit string)) "recheck" (Ok ()) (Approx.recheck g c)
 
-let test_registry_lane () =
-  match Registry.lane "approx" with
-  | None -> Alcotest.fail "approx lane not registered"
-  | Some l ->
-    Alcotest.(check string) "name" "approx" l.Registry.lane_name;
-    Alcotest.(check bool) "listed" true
-      (List.mem "approx" (Registry.lane_names ()));
-    let g = Families.ring ~weight:(fun i -> i) 5 in
-    (* λ* = 10/5 = 2 *)
-    let lr = l.Registry.lane_mean ~eps:0.01 g in
-    Alcotest.(check bool) "lane lo <= 2" true
-      (Ratio.leq lr.Registry.lane_lo (r 2 1));
-    Alcotest.(check bool) "lane 2 <= hi" true
-      (Ratio.leq (r 2 1) lr.Registry.lane_hi);
-    Alcotest.(check bool) "lane converged" true lr.Registry.lane_converged
+let test_lane_brackets () =
+  let g = Families.ring ~weight:(fun i -> i) 5 in
+  (* λ* = 10/5 = 2 *)
+  let lr =
+    Approx_lane.solve ~width:(0.01 *. Approx.scale g) ~max_rounds:16
+      (Critical.mean_bracket ~name:"test" g)
+      g
+  in
+  Alcotest.(check bool) "lane lo <= 2" true
+    (Ratio.leq lr.Approx_lane.lo (r 2 1));
+  Alcotest.(check bool) "lane 2 <= hi" true
+    (Ratio.leq (r 2 1) lr.Approx_lane.hi);
+  Alcotest.(check bool) "lane converged" true lr.Approx_lane.converged
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -182,7 +180,7 @@ let suite =
     Alcotest.test_case "acyclic + validation" `Quick test_acyclic_and_errors;
     Alcotest.test_case "budget starvation stays sound" `Quick
       test_budget_starvation;
-    Alcotest.test_case "registry lane" `Quick test_registry_lane;
+    Alcotest.test_case "lane brackets ring optimum" `Quick test_lane_brackets;
   ]
   @ Helpers.qtests
       [ qcheck_certificate_brackets_exact; qcheck_jobs_deterministic ]

@@ -97,11 +97,31 @@ let qcheck_improve_reaches_oracle =
     ~name:"critical: improve_to_optimal reaches the oracle optimum" ~count:200
     (Helpers.arb_strongly_connected ~max_n:7 ~max_extra:10 ())
     (fun g ->
-      let start = Critical.cycle_in g (fun _ -> true) |> Option.get in
+      let start = Critical.start_cycle ~name:"test" g in
       let lambda, w = Critical.improve_to_optimal ~den:den1 g start in
       let opt = Helpers.oracle_mean Oracle.Minimize g |> Option.get in
       Ratio.equal lambda opt
       && Ratio.equal (Critical.ratio_of_cycle g ~den:den1 w) opt)
+
+(* the a-priori bracket every λ-search starts from must contain the
+   optimum, and bound its denominator *)
+let qcheck_brackets_contain_optimum =
+  QCheck.Test.make ~name:"critical: mean/ratio brackets contain Howard's λ*"
+    ~count:200
+    (Helpers.arb_strongly_connected ~max_n:9 ~max_extra:16 ~wlo:(-50) ~whi:50
+       ~tmax:6 ())
+    (fun g ->
+      let inside (b : Critical.bracket) lambda =
+        Ratio.leq (Ratio.of_int b.Critical.lo) lambda
+        && Ratio.leq lambda (Ratio.of_int b.Critical.hi)
+        && Ratio.den lambda <= b.Critical.dmax
+      in
+      inside
+        (Critical.mean_bracket ~name:"test" g)
+        (fst (Howard.minimum_cycle_mean g))
+      && inside
+           (Critical.ratio_bracket ~name:"test" g)
+           (fst (Howard.minimum_cycle_ratio g)))
 
 let suite =
   [
@@ -116,7 +136,12 @@ let suite =
       test_improve_rejects_non_cycle;
     Alcotest.test_case "critical_arcs" `Quick test_critical_arcs;
   ]
-  @ Helpers.qtests [ qcheck_locate_against_oracle; qcheck_improve_reaches_oracle ]
+  @ Helpers.qtests
+      [
+        qcheck_locate_against_oracle;
+        qcheck_improve_reaches_oracle;
+        qcheck_brackets_contain_optimum;
+      ]
 
 (* critical_arcs must be exactly the arcs lying on some optimum-mean
    cycle; the oracle enumerates all cycles, so it can say precisely

@@ -21,16 +21,25 @@ let spec_of ?(algorithm = Request.Auto) ?(mode = Request.Float_answer)
   }
 
 (* ------------------------------------------------------------------ *)
-(* lane registration and direct Stern–Brocot answers                   *)
+(* direct Stern–Brocot answers                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_lane_registered () =
-  Alcotest.(check bool)
-    "exact lane registered" true
-    (Registry.exact_lane "exact" <> None);
-  Alcotest.(check bool)
-    "listed" true
-    (List.mem "exact" (Registry.exact_lane_names ()))
+(* The walk starts strictly below the shared bracket (L = lo − 1) with
+   the bracket's denominator bound; optima sitting exactly on either end
+   of the bracket must still be found. *)
+let test_sb_bracket_ends () =
+  (* λ* = min weight = the mean bracket's lo *)
+  let g = Digraph.of_arcs 2 [ (0, 0, -6, 1); (0, 1, 9, 1); (1, 0, 2, 1) ] in
+  Helpers.check_ratio "mean at lo" (Helpers.r (-6) 1)
+    (fst (Stern_brocot.minimum_cycle_mean g));
+  (* every arc the same weight: lo = hi = λ* *)
+  let ring = Families.ring ~weight:(fun _ -> 4) 5 in
+  Helpers.check_ratio "mean at lo = hi" (Helpers.r 4 1)
+    (fst (Stern_brocot.minimum_cycle_mean ring));
+  (* a ratio whose denominator is the whole transit bound dmax *)
+  let g2 = Digraph.of_arcs 2 [ (0, 1, 1, 3); (1, 0, 0, 4) ] in
+  Helpers.check_ratio "ratio with den = dmax" (Helpers.r 1 7)
+    (fst (Stern_brocot.minimum_cycle_ratio g2))
 
 let test_sb_direct () =
   (* 0 -3-> 1 -4-> 0: the only cycle has mean 7/2 *)
@@ -75,6 +84,22 @@ let test_parse_exact () =
   | Ok s ->
     Alcotest.(check bool) "lane parsed" true (s.Request.algorithm = Request.Exact)
   | Error e -> Alcotest.fail e);
+  (* the two lanes outside the table match by name, case-insensitively *)
+  List.iter
+    (fun (line, want) ->
+      match Request.parse_spec line with
+      | Ok s -> Alcotest.(check bool) line true (s.Request.algorithm = want)
+      | Error e -> Alcotest.fail e)
+    [
+      ("g.ocr algorithm=APPROX", Request.Approx);
+      ("g.ocr algorithm=Exact", Request.Exact);
+    ];
+  Alcotest.(check (result unit string))
+    "unknown algorithm message"
+    (Error
+       "unknown algorithm \"foo\" (expected auto, approx, exact or one of: \
+        burns, ko, yto, howard, ho, karp, dg, lawler, karp2, oa1, oa2)")
+    (Result.map ignore (Request.parse_spec "g.ocr algorithm=foo"));
   let bad l = Result.is_error (Request.parse_spec l) in
   Alcotest.(check bool) "mode=exact algorithm=approx" true
     (bad "g.ocr mode=exact algorithm=approx");
@@ -249,7 +274,8 @@ let qcheck_exact_lines_jobs_identical =
 
 let suite =
   [
-    Alcotest.test_case "exact lane registered" `Quick test_lane_registered;
+    Alcotest.test_case "stern_brocot at the bracket ends" `Quick
+      test_sb_bracket_ends;
     Alcotest.test_case "stern_brocot direct" `Quick test_sb_direct;
     Alcotest.test_case "mode=exact parsing" `Quick test_parse_exact;
     Alcotest.test_case "exact/float cache keys distinct" `Quick
