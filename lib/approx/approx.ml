@@ -53,8 +53,7 @@ let solve ?stats ?budget ?(jobs = 1) ?pool ?(problem = Solver.Cycle_mean)
   in
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_solve;
-  let scc = Scc.compute g_min in
-  let subs = Scc.partition g_min scc in
+  let subs = Solver.cyclic_components g_min in
   let result =
     if Array.length subs = 0 then None
     else begin

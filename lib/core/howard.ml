@@ -20,43 +20,42 @@ let fa len = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
 (* Reusable workspace: every array the steady-state policy iteration
    touches is preallocated here, so iterations allocate nothing on the
    minor heap (verified by the kernel's Gc.minor_words test).  The hot
-   state — distances, the policy-reverse CSR, the BFS ring, and the
-   per-chunk winner tables — lives in unboxed Bigarrays: off the OCaml
-   heap (the GC never scans or moves it) and therefore shareable
-   across domains without copying, which is what lets sweep chunks on
-   worker domains read [d] and write their winner tables in place.
-   One record serves repeated solves — Incremental keeps a single
-   scratch across warm-start re-solves — growing monotonically to the
-   largest instance seen. *)
+   state lives in unboxed Bigarrays: off the OCaml heap (the GC never
+   scans or moves it) and therefore shareable across domains without
+   copying, which is what lets sweep chunks on worker domains read [d]
+   and the arc gathers and write their winners in place.  Every
+   per-iteration pass is a loop over node or arc indices whose loads do
+   not depend on each other, so the CPU overlaps the cache misses of
+   consecutive steps instead of chasing one pointer at a time.  One
+   record serves repeated solves — Incremental keeps a single scratch
+   across warm-start re-solves — growing monotonically to the largest
+   instance seen. *)
 type scratch = {
-  mutable cap : int; (* arrays valid for n <= cap *)
+  mutable cap : int; (* node arrays valid for n <= cap *)
   mutable d : float_array1;
   mutable pi : int array;
-  (* policy-reverse adjacency in CSR form, rebuilt by counting sort
-     each iteration: predecessors of v under u -> dst(pi(u)) are
-     rev_nodes.{rev_start.{v} .. rev_start.{v+1} - 1} *)
-  mutable rev_start : int_array1;  (* n+1 *)
-  mutable rev_cursor : int_array1; (* n+1, fill cursors for the sort *)
-  mutable rev_nodes : int_array1;  (* n: each node is one predecessor *)
-  mutable queue : int_array1;      (* n: BFS buffer (each node enters once) *)
-  mutable visited : bool array;    (* n *)
-  mutable color : int array;       (* n: 0 unseen, 1 on walk, 2 done *)
-  mutable pos : int array;         (* n *)
-  mutable walk : int array;        (* n+1 *)
+  (* the policy arc seen from its node: succ.{u} = dst(pi u), pw.{u} its
+     float weight, pden.{u} its float denominator; rewritten only where
+     the sweep changes pi *)
+  mutable succ : int_array1;
+  mutable pw : float_array1;
+  mutable pden : float_array1;
+  (* evaluation by peeling the in-forest of u -> succ.{u} *)
+  mutable indeg : int_array1;      (* 0 peeled, > 0 cycle, -1 scanned cycle *)
+  mutable order : int_array1;      (* peeled nodes, leaves first *)
+  mutable basin : int_array1;      (* smallest node id of the in-tree, then
+                                      the basin's cycle label *)
   mutable cycle_arcs : int array;  (* n: best policy cycle, path order *)
-  (* all-ones float denominator, the cycle-mean counterpart of the
-     graph's transit mirror: the sweep reads one uniform [denf] array
-     for both problems, and multiplying by an exact 1.0 is bit-identical
-     to the mean form's plain [-. lambda] *)
-  mutable ones_cap : int;
-  mutable ones : float_array1;     (* ones_cap >= m, every entry 1.0 *)
-  (* Chunked improvement sweep (serial and parallel paths share it):
-     chunk [ci] records, for every node it saw as an arc source, the
-     best candidate value and the lowest arc id attaining it.  Stamps
-     replace per-iteration fills: an entry is live iff its stamp equals
-     [sweep_epoch], which increases monotonically across iterations and
-     solves, so reusing a scratch never reads stale winners. *)
-  mutable sweep_epoch : int;
+  (* out-arcs gathered in CSR order, so the sweep reads each node's arcs
+     as one contiguous run: head, float weight, float denominator (1.0
+     for the mean problem) *)
+  mutable arc_cap : int;
+  mutable cdst : int_array1;
+  mutable cw : float_array1;
+  mutable cden : float_array1;
+  (* sweep winners, one per node: best candidate and its CSR index *)
+  mutable win_cand : float_array1;
+  mutable win_k : int_array1;
   sweep_lambda : float array;        (* current λ, read by chunk tasks;
                                         a 1-cell float array so the
                                         per-iteration store stays
@@ -67,12 +66,7 @@ type scratch = {
                                         same 1-cell trick — passing it
                                         as a float argument would box
                                         at every apply_winners call *)
-  mutable chunk_cap : int;           (* chunk tables allocated *)
-  mutable chunk_n : int;             (* inner arrays valid for n <= chunk_n *)
-  mutable chunk_cand : float_array1 array; (* chunk -> node -> best cand *)
-  mutable chunk_arc : int_array1 array;    (* chunk -> node -> best arc *)
-  mutable chunk_stamp : int_array1 array;  (* chunk -> node -> epoch *)
-  mutable chunk_relax : int array;         (* chunk -> improving-arc count *)
+  mutable chunk_relax : int array;   (* chunk -> improving-arc count *)
 }
 
 let create_scratch () =
@@ -80,141 +74,100 @@ let create_scratch () =
     cap = 0;
     d = fa 0;
     pi = [||];
-    rev_start = ia 0;
-    rev_cursor = ia 0;
-    rev_nodes = ia 0;
-    queue = ia 0;
-    visited = [||];
-    color = [||];
-    pos = [||];
-    walk = [||];
+    succ = ia 0;
+    pw = fa 0;
+    pden = fa 0;
+    indeg = ia 0;
+    order = ia 0;
+    basin = ia 0;
     cycle_arcs = [||];
-    ones_cap = 0;
-    ones = fa 0;
-    sweep_epoch = 0;
+    arc_cap = 0;
+    cdst = ia 0;
+    cw = fa 0;
+    cden = fa 0;
+    win_cand = fa 0;
+    win_k = ia 0;
     sweep_lambda = Array.make 1 0.0;
     sweep_eps = Array.make 1 0.0;
-    chunk_cap = 0;
-    chunk_n = 0;
-    chunk_cand = [||];
-    chunk_arc = [||];
-    chunk_stamp = [||];
     chunk_relax = [||];
   }
 
-let ensure_scratch s n =
+let ensure_scratch s ~n ~m ~chunks =
   if n > s.cap then begin
     s.cap <- n;
     s.d <- fa n;
     s.pi <- Array.make n (-1);
-    s.rev_start <- ia (n + 1);
-    s.rev_cursor <- ia (n + 1);
-    s.rev_nodes <- ia n;
-    s.queue <- ia n;
-    s.visited <- Array.make n false;
-    s.color <- Array.make n 0;
-    s.pos <- Array.make n (-1);
-    s.walk <- Array.make (n + 1) (-1)
+    s.succ <- ia n;
+    s.pw <- fa n;
+    s.pden <- fa n;
+    s.indeg <- ia n;
+    s.order <- ia n;
+    s.basin <- ia n;
+    s.cycle_arcs <- Array.make n (-1);
+    s.win_cand <- fa n;
+    s.win_k <- ia n
   end;
-  if Array.length s.cycle_arcs < n then s.cycle_arcs <- Array.make n (-1)
-
-(* the all-ones denominator never changes after the fill, so growing it
-   is the only write it ever sees *)
-let ensure_ones s m =
-  if m > s.ones_cap then begin
-    s.ones <- fa m;
-    Bigarray.Array1.fill s.ones 1.0;
-    s.ones_cap <- m
+  if m > s.arc_cap then begin
+    s.arc_cap <- m;
+    s.cdst <- ia m;
+    s.cw <- fa m;
+    s.cden <- fa m
   end;
-  s.ones
-
-let ensure_chunks s chunks =
-  if chunks > s.chunk_cap || s.chunk_n < s.cap then begin
-    let k = max chunks s.chunk_cap in
-    s.chunk_cap <- k;
-    s.chunk_n <- s.cap;
-    s.chunk_cand <-
-      Array.init k (fun _ ->
-          let t = fa s.cap in
-          Bigarray.Array1.fill t infinity;
-          t);
-    s.chunk_arc <-
-      Array.init k (fun _ ->
-          let t = ia s.cap in
-          Bigarray.Array1.fill t (-1);
-          t);
-    s.chunk_stamp <-
-      Array.init k (fun _ ->
-          let t = ia s.cap in
-          Bigarray.Array1.fill t 0;
-          t);
-    s.chunk_relax <- Array.make k 0
-  end
+  if chunks > Array.length s.chunk_relax then s.chunk_relax <- Array.make chunks 0
 
 (* One chunk of the improvement sweep (Figure 1, lines 13-18) over the
-   arc range [lo, hi).  Candidates are evaluated against the node
+   node range [lo, hi).  Candidates are evaluated against the node
    distances FROZEN at the start of the sweep — [d] is only read here,
    so chunks race-freely share it across domains (it is a Bigarray:
-   plain memory no domain's GC ever moves) — and the chunk's winner
-   table keeps, per source node, the smallest candidate with the lowest
-   arc id on ties (arcs are visited in increasing id order, so a strict
-   comparison keeps the first minimum).  [srcs]/[dsts]/[wf] are the
-   graph's own CSR Bigarrays and [denf] the float64 denominator mirror
-   (all ones for the mean problem, the transit mirror for the ratio
-   problem — both exact, so the float arithmetic is bit-identical to
-   the [float_of_int] version it replaces).  Allocation-free: all
-   state lives in the preallocated chunk tables. *)
-let sweep_chunk s ~srcs ~dsts ~wf ~denf lo hi ci =
-  let d = s.d in
+   plain memory no domain's GC ever moves) — and each node's winner is
+   the smallest candidate with the lowest arc id on ties: a node's
+   out-arcs sit in ascending id order in the CSR, so a strict
+   comparison keeps the first minimum.  The float arithmetic is that of
+   the per-arc form: [cden] is exact, and multiplying by an exact 1.0 is
+   bit-identical to the mean form's plain [-. lambda].  Chunks write
+   disjoint nodes, so the winner table needs no merge.  Allocation-free:
+   the running minimum lives in locals. *)
+let sweep_chunk s ~ostart lo hi ci =
+  let d = s.d and cdst = s.cdst and cw = s.cw and cden = s.cden in
   let lambda = s.sweep_lambda.(0) in
-  let epoch = s.sweep_epoch in
-  let cand_t = s.chunk_cand.(ci)
-  and arc_t = s.chunk_arc.(ci)
-  and stamp_t = s.chunk_stamp.(ci) in
   let relax = ref 0 in
-  for a = lo to hi - 1 do
-    let u = (srcs : int_array1).{a} and v = (dsts : int_array1).{a} in
-    let cand =
-      d.{v} +. (wf : float_array1).{a} -. (lambda *. (denf : float_array1).{a})
-    in
-    if cand < d.{u} then incr relax;
-    if stamp_t.{u} <> epoch || cand < cand_t.{u} then begin
-      stamp_t.{u} <- epoch;
-      cand_t.{u} <- cand;
-      arc_t.{u} <- a
-    end
+  for u = lo to hi - 1 do
+    let du = d.{u} in
+    let k0 = (ostart : int_array1).{u} in
+    let best = ref infinity and best_k = ref k0 in
+    for k = k0 to ostart.{u + 1} - 1 do
+      let cand = d.{cdst.{k}} +. cw.{k} -. (lambda *. cden.{k}) in
+      if cand < du then incr relax;
+      if cand < !best then begin
+        best := cand;
+        best_k := k
+      end
+    done;
+    s.win_cand.{u} <- !best;
+    s.win_k.{u} <- !best_k
   done;
   s.chunk_relax.(ci) <- !relax
 
-(* Merge the per-chunk winner tables in chunk order — chunk [ci] covers
-   strictly lower arc ids than chunk [ci+1], so keeping the earlier
-   chunk on candidate ties preserves the global lowest-arc-id rule —
-   and apply the merged winners to [d]/[pi].  Returns whether any node
-   improved by more than [eps].  The partition of the arc range is
-   invisible here: the merged winner, the relaxation total, and the
-   improvement verdict are identical for every chunk count, which is
-   what makes reports bit-identical across job counts. *)
-let apply_winners s ~n ~chunks st =
+(* Apply the winners to [d], [pi] and the policy view.  Returns whether
+   any node improved by more than [eps].  The chunking is invisible
+   here: the winners, the relaxation total, and the improvement verdict
+   are identical for every chunk count, which is what makes reports
+   bit-identical across job counts. *)
+let apply_winners s ~n ~ocsr ~chunks st =
   let eps = s.sweep_eps.(0) in
-  let epoch = s.sweep_epoch in
   let d = s.d and pi = s.pi in
   let improved = ref false in
   for u = 0 to n - 1 do
-    let bc = ref (-1) in
-    for ci = 0 to chunks - 1 do
-      if
-        s.chunk_stamp.(ci).{u} = epoch
-        && (!bc < 0 || s.chunk_cand.(ci).{u} < s.chunk_cand.(!bc).{u})
-      then bc := ci
-    done;
-    if !bc >= 0 then begin
-      let cand = s.chunk_cand.(!bc).{u} in
-      let delta = d.{u} -. cand in
-      if delta > 0.0 then begin
-        d.{u} <- cand;
-        pi.(u) <- s.chunk_arc.(!bc).{u};
-        if delta > eps then improved := true
-      end
+    let cand = s.win_cand.{u} in
+    let delta = d.{u} -. cand in
+    if delta > 0.0 then begin
+      let k = s.win_k.{u} in
+      d.{u} <- cand;
+      pi.(u) <- (ocsr : int_array1).{k};
+      s.succ.{u} <- s.cdst.{k};
+      s.pw.{u} <- s.cw.{k};
+      s.pden.{u} <- s.cden.{k};
+      if delta > eps then improved := true
     end
   done;
   for ci = 0 to chunks - 1 do
@@ -223,15 +176,22 @@ let apply_winners s ~n ~chunks st =
   !improved
 
 (* Arcs-per-chunk grain for the sweep: a chunk below this many arcs is
-   not worth a task spawn (queueing plus an O(chunks · n) merge beats
-   the sweep itself), so the chunk count is
-   [min jobs (m / grain)] — small components and small sweeps stay
-   serial, big ones split into at-least-[grain]-arc chunks.  The
-   default comes from [Executor.chunk_arcs ()] (4096, overridable via
-   OCR_CHUNK_ARCS); [sweep_min_arcs] overrides it per solve — bench E14
-   and the tie-merge property tests force chunking on small instances
-   with it.  The grain never affects results, only where the arcs are
-   swept. *)
+   not worth a task spawn, so the chunk count is [min jobs (m / grain)]
+   — small components and small sweeps stay serial, big ones split into
+   node ranges of about [m / chunks] arcs each.  The default comes from
+   [Executor.chunk_arcs ()] (4096, overridable via OCR_CHUNK_ARCS);
+   [sweep_min_arcs] overrides it per solve — bench E14 and the chunking
+   property tests force chunking on small instances with it.  The grain
+   never affects results, only where the arcs are swept. *)
+
+(* the first node whose out-arcs start at or after arc [target] *)
+let node_at (ostart : int_array1) n target =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if ostart.{mid} >= target then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
     ?pool ?sweep_min_arcs ~ratio ~epsilon g =
@@ -239,15 +199,6 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
   let tr = !Obs.enabled_flag in
   if tr then Trace.begin_span sp_solve;
   let n = Digraph.n g and m = Digraph.m g in
-  let s = match scratch with Some s -> s | None -> create_scratch () in
-  ensure_scratch s n;
-  (* the graph's unboxed arrays: endpoints, the float64 weight mirror,
-     and the denominator mirror (exact by construction; see Digraph) *)
-  let srcs = Digraph.Unsafe.srcs g
-  and dsts = Digraph.Unsafe.dsts g
-  and wf = Digraph.Unsafe.weights_float g in
-  let denf = if ratio then Digraph.Unsafe.transits_float g else ensure_ones s m in
-  let den = if ratio then Digraph.transit g else fun _ -> 1 in
   (* chunk count for the improvement sweep, by the arcs-per-chunk cost
      model above: 1 (the serial path) without a multi-worker pool or
      on a sweep too small to amortize the fan-out *)
@@ -259,24 +210,41 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
     | Some p -> Executor.chunks_for p ~work:m ~grain
     | None -> 1
   in
-  ensure_chunks s chunks;
-  let chunk_lo ci = ci * m / chunks in
-  (* per-solve task closures, reused every iteration: each reads the
-     current λ and epoch from the scratch, so the steady state only
-     allocates the futures of the fan-out (O(chunks) words/iteration),
-     never fresh sweep state *)
+  let s = match scratch with Some s -> s | None -> create_scratch () in
+  ensure_scratch s ~n ~m ~chunks;
+  (* the graph's unboxed arrays: endpoints, the float64 weight mirror,
+     the denominator mirror (exact by construction; see Digraph), and
+     the out-arc CSR *)
+  let srcs = Digraph.Unsafe.srcs g
+  and dsts = Digraph.Unsafe.dsts g
+  and wf = Digraph.Unsafe.weights_float g
+  and tf = Digraph.Unsafe.transits_float g in
+  let ostart, ocsr = Digraph.Unsafe.out_csr g in
+  let den = if ratio then Digraph.transit g else fun _ -> 1 in
+  for k = 0 to m - 1 do
+    let a = ocsr.{k} in
+    s.cdst.{k} <- dsts.{a};
+    s.cw.{k} <- wf.{a};
+    s.cden.{k} <- (if ratio then tf.{a} else 1.0)
+  done;
+  (* chunk [ci] sweeps the nodes [chunk_lo ci, chunk_lo (ci+1)), about
+     m / chunks arcs; per-solve task closures, reused every iteration,
+     read the current λ from the scratch, so the steady state only
+     allocates the futures of the fan-out (O(chunks) words/iteration) *)
+  let chunk_lo ci = node_at ostart n (ci * m / chunks) in
   let tasks =
     if chunks <= 1 then [||]
     else
       Array.init (chunks - 1) (fun i ->
           let ci = i + 1 in
           let lo = chunk_lo ci and hi = chunk_lo (ci + 1) in
-          fun () -> sweep_chunk s ~srcs ~dsts ~wf ~denf lo hi ci)
+          fun () -> sweep_chunk s ~ostart lo hi ci)
   in
   (* unconditional counter updates beat an option match in the hot
      loop; the dummy costs one allocation per un-instrumented solve *)
   let st = match stats with Some st -> st | None -> Stats.create () in
   let d = s.d and pi = s.pi in
+  let succ = s.succ and pw = s.pw and pden = s.pden in
   (* initial policy: cheapest out-arc (Figure 1, lines 1-4) by
      default; a caller-supplied warm-start policy overrides [init]
      (the incremental re-solve path); the alternatives ablate how much
@@ -297,7 +265,7 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
       p
   | None -> ());
   (* warm-started distances: the weight init above only seeds nodes the
-     first backward BFS will not reach (those feeding other policy
+     first evaluation will not reach (those feeding other policy
      cycles), and stale-but-nearly-feasible potentials from the last
      solve beat raw arc weights there by orders of magnitude — with
      them an unchanged graph reconverges in one sweep *)
@@ -365,7 +333,11 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
       end
     done);
   for u = 0 to n - 1 do
-    if pi.(u) < 0 then invalid_arg "Howard: node without out-arc"
+    let a = pi.(u) in
+    if a < 0 then invalid_arg "Howard: node without out-arc";
+    succ.{u} <- dsts.{a};
+    pw.{u} <- wf.{a};
+    pden.{u} <- (if ratio then tf.{a} else 1.0)
   done;
   let scale =
     let acc = ref 1 in
@@ -376,61 +348,94 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
     float_of_int !acc
   in
   s.sweep_eps.(0) <- epsilon *. scale;
-  (* Policy evaluation (zero-allocation): find every cycle of the
-     functional graph u -> dst(pi(u)) with colour stamps, track the one
-     with the smallest exact ratio in the int refs below, and copy its
-     arcs into [cycle_arcs] — materialized as a list only on return. *)
+  (* Policy evaluation (zero-allocation), in independent passes over
+     node arrays.  Kahn-peel the in-forest of the functional graph
+     u -> succ.{u} into [order], pushing each node's basin minimum (the
+     smallest node id of its in-tree) to its successor; the nodes that
+     survive are the policy cycles.  Each cycle is scanned once for its
+     exact ratio and basin minimum.  The best cycle has the smallest
+     ratio, and on ties the smallest basin minimum — the cycle a walk
+     from every start node in increasing order discovers first.  Its
+     arcs go into [cycle_arcs] from [start], where the walk from that
+     basin minimum enters the cycle; they become a list only on
+     return. *)
+  let indeg = s.indeg and order = s.order and basin = s.basin in
   let best_num = ref 0 in
   let best_den = ref 0 (* 0 = none found yet; real denominators are > 0 *) in
-  let best_start = ref (-1) in
+  let best_label = ref (-1) in
   let cycle_len = ref 0 in
+  let peeled = ref 0 in
   let eval_policy () =
-    Array.fill s.color 0 n 0;
-    best_den := 0;
-    for start = 0 to n - 1 do
-      if s.color.(start) = 0 then begin
-        let len = ref 0 in
-        let x = ref start in
-        while s.color.(!x) = 0 do
-          s.color.(!x) <- 1;
-          s.pos.(!x) <- !len;
-          s.walk.(!len) <- !x;
-          incr len;
-          x := dsts.{pi.(!x)}
-        done;
-        if s.color.(!x) = 1 then begin
-          (* new cycle: walk.(pos(!x)) .. walk.(len-1) *)
-          st.Stats.cycles_examined <- st.Stats.cycles_examined + 1;
-          let num = ref 0 and dn = ref 0 in
-          let first = s.pos.(!x) in
-          for i = first to !len - 1 do
-            let a = pi.(s.walk.(i)) in
-            num := !num + Digraph.weight g a;
-            dn := !dn + den a
-          done;
-          if !dn <= 0 then
-            invalid_arg "Howard: policy cycle with non-positive denominator \
-                         (zero-transit cycle in the ratio problem?)";
-          let replace =
-            !best_den = 0 || !num * !best_den < !best_num * !dn
-          in
-          if replace then begin
-            best_num := !num;
-            best_den := !dn;
-            best_start := !x;
-            cycle_len := !len - first;
-            for i = first to !len - 1 do
-              s.cycle_arcs.(i - first) <- pi.(s.walk.(i))
-            done
-          end
-        end;
-        (* close the walk *)
-        for i = 0 to !len - 1 do
-          s.color.(s.walk.(i)) <- 2
-        done
+    for u = 0 to n - 1 do
+      indeg.{u} <- 0;
+      basin.{u} <- u
+    done;
+    for u = 0 to n - 1 do
+      let v = succ.{u} in
+      indeg.{v} <- indeg.{v} + 1
+    done;
+    let tail = ref 0 in
+    for u = 0 to n - 1 do
+      if indeg.{u} = 0 then begin
+        order.{!tail} <- u;
+        incr tail
       end
     done;
-    assert (!best_den > 0) (* every functional graph has a cycle *)
+    let head = ref 0 in
+    while !head < !tail do
+      let u = order.{!head} in
+      incr head;
+      let v = succ.{u} in
+      if basin.{u} < basin.{v} then basin.{v} <- basin.{u};
+      indeg.{v} <- indeg.{v} - 1;
+      if indeg.{v} = 0 then begin
+        order.{!tail} <- v;
+        incr tail
+      end
+    done;
+    peeled := !tail;
+    best_den := 0;
+    let best_min = ref n in
+    for u = 0 to n - 1 do
+      if indeg.{u} > 0 then begin
+        (* a new cycle, labelled by its smallest node [u] *)
+        st.Stats.cycles_examined <- st.Stats.cycles_examined + 1;
+        let num = ref 0 and dn = ref 0 and bmin = ref n in
+        let x = ref u in
+        while indeg.{!x} > 0 do
+          indeg.{!x} <- -1;
+          let a = pi.(!x) in
+          num := !num + Digraph.weight g a;
+          dn := !dn + den a;
+          if basin.{!x} < !bmin then bmin := basin.{!x};
+          basin.{!x} <- u;
+          x := succ.{!x}
+        done;
+        if !dn <= 0 then
+          invalid_arg "Howard: policy cycle with non-positive denominator \
+                       (zero-transit cycle in the ratio problem?)";
+        let lhs = !num * !best_den and rhs = !best_num * !dn in
+        if !best_den = 0 || lhs < rhs || (lhs = rhs && !bmin < !best_min)
+        then begin
+          best_num := !num;
+          best_den := !dn;
+          best_min := !bmin;
+          best_label := u
+        end
+      end
+    done;
+    assert (!best_den > 0) (* every functional graph has a cycle *);
+    let start = ref !best_min in
+    while indeg.{!start} = 0 do
+      start := succ.{!start}
+    done;
+    let len = ref 0 and x = ref !start in
+    while !len = 0 || !x <> !start do
+      s.cycle_arcs.(!len) <- pi.(!x);
+      incr len;
+      x := succ.{!x}
+    done;
+    cycle_len := !len
   in
   let cap = (8 * n) + 64 in
   let iter = ref 0 in
@@ -445,71 +450,40 @@ let solve ?stats ?budget ?(init = `Cheapest_arc) ?policy ?potentials ?scratch
     end;
     eval_policy ();
     let lambda = float_of_int !best_num /. float_of_int !best_den in
-    (* node distances by reverse BFS from the cycle entry over policy
-       arcs (Figure 1, lines 10-12).  The policy-reverse adjacency is
-       counting-sorted into two preallocated int Bigarrays — no cons
-       cells, no Queue nodes.  Subrange fills and the cursor copy are
-       explicit loops: [Bigarray.Array1.sub] would allocate a view on
-       every iteration. *)
-    let rev_start = s.rev_start
-    and rev_cursor = s.rev_cursor
-    and rev_nodes = s.rev_nodes in
-    for v = 0 to n do
-      rev_start.{v} <- 0
+    (* node distances (Figure 1, lines 10-12): backwards round the best
+       cycle to its start, whose distance stays, then over the peel
+       order in reverse, so every node follows its successor.  Each
+       peeled node takes its successor's basin label; only the nodes of
+       the best basin get a new distance, the others keep theirs. *)
+    for i = !cycle_len - 1 downto 1 do
+      let u = srcs.{s.cycle_arcs.(i)} in
+      d.{u} <- d.{succ.{u}} +. pw.{u} -. (lambda *. pden.{u})
     done;
-    for u = 0 to n - 1 do
-      let v = dsts.{pi.(u)} in
-      rev_start.{v + 1} <- rev_start.{v + 1} + 1
-    done;
-    for v = 1 to n do
-      rev_start.{v} <- rev_start.{v} + rev_start.{v - 1}
-    done;
-    for v = 0 to n do
-      rev_cursor.{v} <- rev_start.{v}
-    done;
-    for u = 0 to n - 1 do
-      let v = dsts.{pi.(u)} in
-      rev_nodes.{rev_cursor.{v}} <- u;
-      rev_cursor.{v} <- rev_cursor.{v} + 1
-    done;
-    Array.fill s.visited 0 n false;
-    let queue = s.queue in
-    let head = ref 0 and tail = ref 0 in
-    s.visited.(!best_start) <- true;
-    queue.{!tail} <- !best_start;
-    incr tail;
-    while !head < !tail do
-      let x = queue.{!head} in
-      incr head;
-      for i = rev_start.{x} to rev_start.{x + 1} - 1 do
-        let u = rev_nodes.{i} in
-        if not s.visited.(u) then begin
-          s.visited.(u) <- true;
-          let a = pi.(u) in
-          d.{u} <- d.{x} +. wf.{a} -. (lambda *. denf.{a});
-          queue.{!tail} <- u;
-          incr tail
-        end
-      done
+    let best = !best_label in
+    for i = !peeled - 1 downto 0 do
+      let u = order.{i} in
+      let v = succ.{u} in
+      let b = basin.{v} in
+      basin.{u} <- b;
+      if b = best then d.{u} <- d.{v} +. pw.{u} -. (lambda *. pden.{u})
     done;
     (* improvement sweep (Figure 1, lines 13-18): each chunk records
-       per-node winners against the distances frozen above; the merge
-       applies them.  With one chunk this is the serial kernel; with a
+       per-node winners against the distances frozen above; then they
+       are applied.  With one chunk this is the serial kernel; with a
        pool, chunk 0 runs here while chunks 1.. run on the executor. *)
     if tr then begin
       Trace.end_span sp_eval;
       Trace.begin_span sp_sweep
     end;
     let relax_before = st.Stats.relaxations in
-    s.sweep_epoch <- s.sweep_epoch + 1;
     s.sweep_lambda.(0) <- lambda;
     (match pool with
     | Some p when chunks > 1 ->
       let futs = Array.map (Executor.async p) tasks in
-      sweep_chunk s ~srcs ~dsts ~wf ~denf 0 (chunk_lo 1) 0;
+      sweep_chunk s ~ostart 0 (chunk_lo 1) 0;
       Array.iter (fun fut -> Executor.await p fut) futs
-    | _ -> sweep_chunk s ~srcs ~dsts ~wf ~denf 0 m 0);
-    if not (apply_winners s ~n ~chunks st) then converged := true;
+    | _ -> sweep_chunk s ~ostart 0 n 0);
+    if not (apply_winners s ~n ~ocsr ~chunks st) then converged := true;
     if tr then begin
       Trace.counter_int sp_improved (st.Stats.relaxations - relax_before);
       Trace.end_span sp_sweep;

@@ -10,24 +10,30 @@
     out-degrees; the paper adds O(nmα) and O(n²m(w_max−w_min)/ε)), yet
     it is by far the fastest algorithm in the study.
 
-    The steady-state loop is a zero-allocation kernel: the node
-    distances, the policy-reverse adjacency (counting-sorted each
-    iteration), the backward-BFS ring, and the sweep winner tables all
-    live in unboxed {!Bigarray.Array1} scratch — off the OCaml heap,
-    invisible to the GC, and shareable across domains without copying —
-    and the candidate cycle in reusable int arrays; lists are
+    The steady-state loop is a zero-allocation kernel whose every pass
+    is a loop over node or arc indices, not a chain of dependent loads.
+    The policy is mirrored per node (successor, weight, denominator).
+    Evaluation Kahn-peels the policy's in-forest, scans each surviving
+    policy cycle once, and sets the distances of the best cycle's basin
+    in reverse peel order.  The best cycle is the one a walk from every
+    start node in increasing order would keep: smallest ratio, then
+    smallest basin minimum.  The improvement sweep reads each node's
+    out-arcs from a per-solve gather in CSR order.  All of this state
+    lives in unboxed {!Bigarray.Array1} scratch — off the OCaml heap,
+    invisible to the GC, and shareable across domains without copying
+    — and the candidate cycle in reusable int arrays; lists are
     materialized only on return (see docs/PERF.md for the layout and
     the domain-sharing safety argument).
 
     The per-arc improvement test is chunkable: every entry point takes
     an optional executor [pool], and with a multi-worker pool on a
-    large enough graph the arc range is split into chunks swept
-    concurrently, one scratch winner table per chunk.  Candidates are
-    evaluated against the node distances frozen at the start of the
-    sweep, and the per-chunk winners are merged deterministically —
-    smallest candidate first, lowest arc id on ties — so the sweep's
-    outcome (policy, distances, operation counts, and therefore the
-    whole solve) is bit-identical for every chunk and job count,
+    large enough graph the nodes are split into ranges of about equal
+    arc count, swept concurrently.  Candidates are evaluated against
+    the node distances frozen at the start of the sweep, and each node
+    keeps its smallest candidate with the lowest arc id on ties.  A node
+    belongs to exactly one range, so the winners need no merge, and the
+    sweep's outcome (policy, distances, operation counts, and therefore
+    the whole solve) is bit-identical for every chunk and job count,
     including the serial path.  This is what makes [--jobs] pay off on
     a single giant SCC, where the per-component fan-out of
     {!Solver.solve} has nothing to parallelize (bench E14).
@@ -69,7 +75,8 @@ val minimum_cycle_mean :
     [pool] parallelizes the improvement sweep across the executor's
     workers; [sweep_min_arcs] is the arcs-per-chunk grain of the split
     (default {!Executor.chunk_arcs}[ ()], i.e. [OCR_CHUNK_ARCS] or
-    4096): the sweep uses [min jobs (m / grain)] chunks, so a graph
+    4096): the sweep uses [min jobs (m / grain)] node-range chunks of
+    about [m / chunks] arcs each, so a graph
     under twice the grain stays serial — below that the fan-out
     overhead outweighs the sweep (see docs/PERF.md, "Granularity").
     The answer, and every counter in [stats], is bit-identical with and

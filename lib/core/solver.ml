@@ -103,9 +103,44 @@ let best_in_order best lambda w =
 exception Deadline_exceeded of { partial : report option }
 
 let sp_partition = Obs.intern "solver.partition"
+let sp_scc = Obs.intern "scc.compute"
+let sp_scc_partition = Obs.intern "scc.partition"
 let sp_component = Obs.intern "solver.component"
 let sp_reduce = Obs.intern "solver.reduce"
 let sp_comp_arcs = Obs.intern "solver.component_arcs"
+
+let cyclic_components g =
+  let tr = !Obs.enabled_flag in
+  if tr then begin
+    Trace.begin_span sp_partition;
+    Trace.begin_span sp_scc
+  end;
+  let scc = Scc.compute g in
+  if tr then begin
+    Trace.end_span sp_scc;
+    Trace.begin_span sp_scc_partition
+  end;
+  let subs =
+    if scc.Scc.count = 1 && Digraph.m g > 0 then
+      (* one cyclic SCC covers every node: its copy would renumber no
+         node and keep every arc in place, so solve [g] itself *)
+      [|
+        {
+          Scc.comp = 0;
+          sub = g;
+          node_of_sub = Array.init (Digraph.n g) Fun.id;
+          arc_of_sub = Array.init (Digraph.m g) Fun.id;
+        };
+      |]
+    else
+      (* one O(n+m) sweep builds every cyclic-SCC subproblem *)
+      Scc.partition g scc
+  in
+  if tr then begin
+    Trace.end_span sp_scc_partition;
+    Trace.end_span sp_partition
+  end;
+  subs
 
 let solve ?(objective = Minimize) ?(problem = Cycle_mean) ?budget ?(jobs = 1)
     ?pool ~algorithm g =
@@ -120,12 +155,7 @@ let solve ?(objective = Minimize) ?(problem = Cycle_mean) ?budget ?(jobs = 1)
     | Cycle_ratio -> Registry.minimum_cycle_ratio algorithm
   in
   let tr = !Obs.enabled_flag in
-  if tr then Trace.begin_span sp_partition;
-  let scc = Scc.compute g_min in
-  (* one O(n+m) sweep builds every cyclic-SCC subproblem, replacing the
-     former per-component Digraph.induced scans (O(m · #SCCs)) *)
-  let subs = Scc.partition g_min scc in
-  if tr then Trace.end_span sp_partition;
+  let subs = cyclic_components g_min in
   let solve_sub ?pool (sp : Scc.subproblem) =
     (match budget with Some b -> Budget.check b | None -> ());
     let tr = !Obs.enabled_flag in

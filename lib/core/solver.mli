@@ -63,6 +63,17 @@ val fan_out :
     propagates.
     @raise Invalid_argument if [jobs < 1]. *)
 
+val cyclic_components : Digraph.t -> Scc.subproblem array
+(** The cyclic strongly connected components of a graph as
+    subproblems, in increasing component id: the items {!solve}, the
+    engine and the approximation lane hand to {!fan_out}.  When one cyclic SCC covers every node,
+    the single subproblem is the graph itself with identity id maps:
+    {!Scc.partition} would copy it with no node renumbered and every arc
+    in place, so answers are unchanged.  Solvers only read the subgraph;
+    a caller that rewrites labels in place ({!Dyn}) must use
+    {!Scc.partition} and own its copy.  Traced as [solver.partition],
+    with [scc.compute] and [scc.partition] nested inside. *)
+
 val best_in_order :
   (Ratio.t * 'w) option -> Ratio.t -> 'w -> (Ratio.t * 'w) option
 (** One step of the deterministic reduction over {!fan_out} results:
@@ -90,7 +101,8 @@ val solve :
 (** [None] iff the graph is acyclic (no cycle to optimize).
 
     The graph is split into its cyclic strongly connected components by
-    one O(n+m) partition sweep ({!Scc.partition}); with [jobs > 1] (a
+    {!cyclic_components}: one O(n+m) partition sweep, or no copy at all
+    when the whole graph is one SCC; with [jobs > 1] (a
     private pool of [jobs-1] domains plus the calling thread) or an
     externally managed [pool], independent components solve
     concurrently.  The same pool is handed down into each component
@@ -98,11 +110,12 @@ val solve :
     inside a large component is also chunked across the workers
     ({!Howard.minimum_cycle_mean}) — this is what makes [jobs] pay off
     on a single giant SCC, where the component fan-out alone has
-    nothing to parallelize.  The reduction is deterministic: the
-    chunked sweep merges winners by (candidate, lowest arc id) and
-    per-component results are folded in component order with the serial
-    loop's exact tie-breaking, so the report — λ, witness cycle, merged
-    stats — is bit-identical for every job count.  Default [jobs = 1]
+    nothing to parallelize.  The reduction is deterministic: each
+    sweep chunk owns a node range and keeps every node's winner by
+    (candidate, lowest arc id), and per-component results are folded
+    in component order with the serial loop's exact tie-breaking, so
+    the report — λ, witness cycle, merged stats — is bit-identical for
+    every job count.  Default [jobs = 1]
     runs inline with no domain spawned.
 
     [budget] bounds the work: the clock is checked before every

@@ -514,17 +514,27 @@ let of_graph_arc t ma =
     invalid_arg "Dyn.of_graph_arc: arc out of range";
   t.session_of_mat.(ma)
 
+let sp_refresh = Obs.intern "dyn.refresh"
+let sp_fingerprint = Obs.intern "dyn.fingerprint"
+
 let fingerprint t =
   match t.fp_cache with
   | Some (e, fp) when e = t.ep -> fp
   | _ ->
+    let tr = !Obs.enabled_flag in
+    if tr then Trace.begin_span sp_refresh;
     refresh t;
+    if tr then begin
+      Trace.end_span sp_refresh;
+      Trace.begin_span sp_fingerprint
+    end;
     let user_mat =
       match t.obj with
       | Solver.Minimize -> t.mat
       | Solver.Maximize -> Digraph.negate_weights t.mat
     in
     let fp = Fingerprint.of_graph user_mat in
+    if tr then Trace.end_span sp_fingerprint;
     t.fp_cache <- Some (t.ep, fp);
     fp
 

@@ -216,11 +216,9 @@ let solve_fresh t ~inner_pool tel (req : Request.t) =
       | Solver.Minimize -> lambda
       | Solver.Maximize -> Ratio.neg lambda
     in
-    let scc = Scc.compute g_min in
-    (* the one-pass partition replaces per-component Digraph.induced
-       scans; computed once here, the subgraphs are reused by every
-       portfolio attempt instead of being rebuilt per fallback *)
-    let subs = Scc.partition g_min scc in
+    (* computed once here, the subgraphs are reused by every portfolio
+       attempt instead of being rebuilt per fallback *)
+    let subs = Solver.cyclic_components g_min in
     if Array.length subs = 0 then Acyclic
     else begin
       let runner_of alg =

@@ -52,6 +52,49 @@ let test_scratch_reuse () =
   check "then a tiny ring" (Families.ring 5);
   check "mid-size" (Sprand.generate ~seed:12 ~n:100 ~m:400 ())
 
+(* One scratch from a large arc count to smaller ones, at equal and at
+   larger node counts, alternating the mean and ratio forms: the arc
+   gathers sized for the large graph must not leak stale arcs or
+   denominators into the smaller solves. *)
+let test_scratch_shrinking_m () =
+  let scratch = Howard.create_scratch () in
+  let check name g =
+    let same form (fl, fc, fp) (l, c, p) =
+      Helpers.check_ratio (name ^ ": " ^ form ^ " lambda") fl l;
+      Alcotest.(check (list int)) (name ^ ": " ^ form ^ " cycle") fc c;
+      Alcotest.(check (array int)) (name ^ ": " ^ form ^ " policy") fp p
+    in
+    let fresh_mean = Howard.minimum_cycle_mean_warm g
+    and fresh_ratio = Howard.minimum_cycle_ratio_warm g in
+    same "mean" fresh_mean (Howard.minimum_cycle_mean_warm ~scratch g);
+    same "ratio" fresh_ratio (Howard.minimum_cycle_ratio_warm ~scratch g)
+  in
+  check "m = 10n" (Sprand.generate ~seed:21 ~n:300 ~m:3000 ~transits:(1, 50) ());
+  check "same n, m = 1.5n"
+    (Sprand.generate ~seed:22 ~n:300 ~m:450 ~transits:(1, 50) ());
+  check "larger n, smaller m"
+    (Sprand.generate ~seed:23 ~n:400 ~m:600 ~transits:(1, 50) ())
+
+(* Two policy cycles of equal mean 3: {1,2} holds the smallest cycle
+   node id, but the walk from node 0 (0 -> 5 -> 4 -> 5) reaches {4,5}
+   first, entering it at node 5.  The kernel keeps the cycle found
+   from the smallest node of its basin and starts the witness where
+   that walk enters it: arc 5 (5->4), then arc 4 (4->5). *)
+let test_equal_mean_tie_witness () =
+  let g =
+    Digraph.of_weighted_arcs 6
+      [
+        (0, 5, 1); (0, 1, 10); (1, 2, 3); (2, 1, 3); (4, 5, 3); (5, 4, 3);
+        (3, 4, 1); (5, 3, 10); (2, 0, 10); (4, 0, 10);
+      ]
+  in
+  let stats = Stats.create () in
+  let l, c = Howard.minimum_cycle_mean ~stats g in
+  Helpers.check_ratio "lambda" (Ratio.of_int 3) l;
+  Alcotest.(check (list int)) "witness" [ 5; 4 ] c;
+  Alcotest.(check int) "one iteration" 1 stats.Stats.iterations;
+  Alcotest.(check int) "both cycles examined" 2 stats.Stats.cycles_examined
+
 let test_warm_start_with_scratch () =
   let g = Sprand.generate ~seed:13 ~n:200 ~m:600 () in
   let scratch = Howard.create_scratch () in
@@ -68,12 +111,12 @@ let test_warm_start_with_scratch () =
    policy, and every operation counter must match the serial run for
    any pool size.  Tie-heavy families are the interesting inputs — with
    all weights equal every arc into a node proposes the same candidate,
-   so any deviation from the lowest-arc-id merge rule shows up as a
+   so any deviation from the lowest-arc-id winner rule shows up as a
    different final policy. *)
-let check_chunked_matches_serial name g jobs =
+let check_chunked_matches_serial ?(grain = 64) name g jobs =
   let st0 = Stats.create () in
   let l0, c0, p0 =
-    Howard.minimum_cycle_mean_warm ~stats:st0 ~sweep_min_arcs:64 g
+    Howard.minimum_cycle_mean_warm ~stats:st0 ~sweep_min_arcs:grain g
   in
   let pool = Executor.create ~jobs in
   Fun.protect
@@ -81,7 +124,7 @@ let check_chunked_matches_serial name g jobs =
     (fun () ->
       let st = Stats.create () in
       let l, c, p =
-        Howard.minimum_cycle_mean_warm ~stats:st ~pool ~sweep_min_arcs:64 g
+        Howard.minimum_cycle_mean_warm ~stats:st ~pool ~sweep_min_arcs:grain g
       in
       Helpers.check_ratio (name ^ ": lambda") l0 l;
       Alcotest.(check (list int)) (name ^ ": cycle") c0 c;
@@ -105,6 +148,31 @@ let test_chunked_sweep_tie_heavy () =
         (Sprand.generate ~seed:7 ~n:2048 ~m:6144 ())
         jobs)
     [ 2; 3; Helpers.default_jobs ]
+
+(* A hub carrying half the arcs: with a 2-arc grain the sweep splits
+   into as many chunks as workers, and balancing them by arc mass
+   leaves the chunks whose share falls inside the hub's arcs empty
+   (three of eight at jobs = 8). *)
+let test_chunked_sweep_hub () =
+  let n = 64 in
+  let arcs = ref [] in
+  let add s d w = arcs := (s, d, w) :: !arcs in
+  for u = 0 to n - 1 do
+    add u ((u + 1) mod n) (((u * 37) + 11) mod 23)
+  done;
+  let hub = n / 2 in
+  for v = 0 to n - 1 do
+    if v <> hub then add hub v (((v * 53) + 5) mod 29)
+  done;
+  let g = Digraph.of_weighted_arcs n (List.rev !arcs) in
+  Alcotest.(check bool) "hub holds half the arcs" true
+    (2 * Digraph.out_degree g hub >= Digraph.m g - 2);
+  List.iter
+    (fun jobs ->
+      check_chunked_matches_serial ~grain:2
+        (Printf.sprintf "hub, jobs=%d" jobs)
+        g jobs)
+    [ 2; 8 ]
 
 (* On arbitrary strongly connected graphs, with the chunking threshold
    forced all the way down so even ~10-arc instances split. *)
@@ -133,8 +201,8 @@ let qcheck_chunked_sweep_matches_serial =
         Helpers.jobs_sweep)
 
 (* The parallel sweep's only steady-state allocation is the O(chunks)
-   futures per iteration on the coordinating domain; the chunk winner
-   tables live in the preallocated scratch.  Same differential
+   futures per iteration on the coordinating domain; the per-node
+   winner table lives in the preallocated scratch.  Same differential
    technique as the serial test, with a bound that admits the futures
    but would catch any per-arc or per-node allocation. *)
 let test_parallel_steady_state_allocation () =
@@ -288,3 +356,11 @@ let suite =
         qcheck_random_init_agrees; qcheck_chunked_sweep_matches_serial;
         qcheck_tracing_invisible;
       ]
+  @ [
+      Alcotest.test_case "scratch reuse from large to small m" `Quick
+        test_scratch_shrinking_m;
+      Alcotest.test_case "equal-mean tie keeps the first basin's cycle" `Quick
+        test_equal_mean_tie_witness;
+      Alcotest.test_case "chunked sweep bit-identical with a hub node" `Quick
+        test_chunked_sweep_hub;
+    ]

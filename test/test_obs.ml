@@ -676,6 +676,40 @@ let test_telemetry_export_escaping () =
     "csv quotes the metric name" true
     (List.mem quoted (String.split_on_char '\n' csv))
 
+(* The layers that used to run unspanned: SCC and partition nest inside
+   solver.partition, and a fingerprint miss in a dynamic session is
+   split into dyn.refresh and dyn.fingerprint; a hit records nothing. *)
+let test_layer_spans () =
+  let g =
+    Digraph.of_weighted_arcs 5
+      [ (0, 1, 3); (1, 0, 4); (1, 2, 1); (2, 3, 2); (3, 2, 5); (3, 4, 1) ]
+  in
+  let spans names =
+    List.filter_map
+      (fun e ->
+        let name = Obs.name_of e.Trace.ev_id in
+        match e.Trace.ev_kind with
+        | (`Begin | `End) as k when List.mem name names ->
+          Some ((if k = `Begin then "B " else "E ") ^ name)
+        | _ -> None)
+      (Trace.events ())
+  in
+  with_tracing ~capacity:4096 (fun () ->
+      ignore (Solver.minimum_cycle_mean g);
+      Alcotest.(check (list string)) "nested partition spans"
+        [ "B solver.partition"; "B scc.compute"; "E scc.compute";
+          "B scc.partition"; "E scc.partition"; "E solver.partition" ]
+        (spans [ "solver.partition"; "scc.compute"; "scc.partition" ]));
+  with_tracing ~capacity:4096 (fun () ->
+      let s = Dyn.create g in
+      Dyn.set_weight s 0 7;
+      ignore (Dyn.fingerprint s);
+      ignore (Dyn.fingerprint s);
+      Alcotest.(check (list string)) "one miss, then a hit"
+        [ "B dyn.refresh"; "E dyn.refresh"; "B dyn.fingerprint";
+          "E dyn.fingerprint" ]
+        (spans [ "dyn.refresh"; "dyn.fingerprint" ]))
+
 let suite =
   [
     Alcotest.test_case "interning" `Quick test_intern;
@@ -726,4 +760,6 @@ let suite =
       test_csv_field_quoting;
     Alcotest.test_case "telemetry exports escape names" `Quick
       test_telemetry_export_escaping;
+    Alcotest.test_case "layer spans: scc nested, dyn refresh and fingerprint"
+      `Quick test_layer_spans;
   ]

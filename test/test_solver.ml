@@ -151,6 +151,39 @@ let test_overflow_guard () =
   Alcotest.(check bool) "normal weights fine" true
     (Solver.minimum_cycle_mean g <> None)
 
+(* A graph that is one SCC is solved in place, and its answer equals
+   the one computed on the partition copy; a one-node graph without a
+   self-loop is one acyclic SCC and stays unsolved. *)
+let test_single_scc_identity () =
+  let g = Sprand.generate ~seed:4 ~n:200 ~m:600 ~transits:(1, 20) () in
+  (match Solver.cyclic_components g with
+  | [| sp |] ->
+    Alcotest.(check bool) "the graph itself" true (sp.Scc.sub == g);
+    Alcotest.(check bool) "identity arc map" true
+      (Array.for_all2 ( = ) sp.Scc.arc_of_sub (Array.init (Digraph.m g) Fun.id))
+  | subs -> Alcotest.failf "%d subproblems" (Array.length subs));
+  let copy =
+    match Scc.partition g (Scc.compute g) with
+    | [| sp |] -> sp.Scc.sub
+    | _ -> Alcotest.fail "one component expected"
+  in
+  Alcotest.(check bool) "partition copies" true (copy != g);
+  List.iter
+    (fun (name, problem) ->
+      let st = Stats.create () in
+      let l, c =
+        match problem with
+        | Solver.Cycle_mean -> Howard.minimum_cycle_mean ~stats:st copy
+        | Solver.Cycle_ratio -> Howard.minimum_cycle_ratio ~stats:st copy
+      in
+      let r = Option.get (Solver.solve ~problem ~algorithm:Registry.Howard g) in
+      Helpers.check_ratio (name ^ ": lambda") l r.Solver.lambda;
+      Alcotest.(check (list int)) (name ^ ": witness") c r.Solver.cycle;
+      Alcotest.(check bool) (name ^ ": stats") true (st = r.Solver.stats))
+    [ ("mean", Solver.Cycle_mean); ("ratio", Solver.Cycle_ratio) ];
+  Alcotest.(check int) "lone node" 0
+    (Array.length (Solver.cyclic_components (Digraph.of_arcs 1 [])))
+
 let suite =
   suite @ [ Alcotest.test_case "overflow guard" `Quick test_overflow_guard ]
 
@@ -365,4 +398,6 @@ let suite =
         test_fan_out_lone_item;
       Alcotest.test_case "fan_out: arbitration of the inner pool" `Quick
         test_fan_out_arbitration;
+      Alcotest.test_case "single SCC solved in place" `Quick
+        test_single_scc_identity;
     ]
