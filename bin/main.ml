@@ -211,12 +211,13 @@ let solve_cmd =
          single rational certificate)";
       exit 1
     end;
-    let g = load_graph file in
+    (* tracing starts before the load, so the trace holds io.parse *)
     (match trace with
     | Some _ ->
       Trace.configure ();
       Obs.enable ()
     | None -> ());
+    let g = load_graph file in
     let finish_trace () =
       Option.iter (fun path -> Trace.write_chrome_json path) trace
     in

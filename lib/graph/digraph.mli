@@ -142,6 +142,14 @@ module Unsafe : sig
   val dsts : t -> int_array1
   (** The internal arc-head array ([dsts.{a} = dst g a]); read-only. *)
 
+  val weights : t -> int_array1
+  (** The internal weight array ([weights.{a} = weight g a]);
+      read-only — rewrite labels with {!set_weight}, which keeps the
+      float mirror in sync. *)
+
+  val transits : t -> int_array1
+  (** The internal transit array; read-only, like {!weights}. *)
+
   val weights_float : t -> float_array1
   (** The float64 mirror of the weights ([weights_float g).{a} =
       float_of_int (weight g a)], exact for every admissible label).
@@ -150,6 +158,19 @@ module Unsafe : sig
 
   val transits_float : t -> float_array1
   (** The float64 mirror of the transit times; read-only. *)
+
+  val of_label_arrays :
+    n:int -> m:int -> arc_src:int_array1 -> arc_dst:int_array1 ->
+    arc_weight:int_array1 -> arc_transit:int_array1 -> t
+  (** The graph whose arc [a] is [arc_src.{a} -> arc_dst.{a}] with
+      weight [arc_weight.{a}] and transit [arc_transit.{a}], its CSR
+      built by counting sort and its float mirrors filled — what
+      {!build} does after its copy, minus the copy and the checks.
+      The caller guarantees what {!add_arc} would check: all four
+      arrays have length [m], endpoints lie in [0 .. n-1] and
+      transits are non-negative.  The arrays become the graph's own
+      storage and must not be written afterwards.  For bulk loaders
+      (the graph-file scanner) that fill label arrays directly. *)
 end
 
 val induced : t -> int list -> t * int array * int array

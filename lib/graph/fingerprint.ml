@@ -2,8 +2,10 @@ type t = { lo : int64; hi : int64 }
 
 let golden = 0x9E3779B97F4A7C15L
 
-(* SplitMix64 finalizer (Steele, Lea & Flood) — same mixer as Rng. *)
-let mix z =
+(* SplitMix64 finalizer (Steele, Lea & Flood) — same mixer as Rng.
+   [mix] and [absorb] are inlined so their Int64s stay unboxed in
+   [of_graph]'s loop; as calls, each would return a boxed result. *)
+let[@inline] mix z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L
@@ -14,7 +16,7 @@ let mix z =
   in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let absorb st x = mix (Int64.add (Int64.add st golden) (Int64.of_int x))
+let[@inline] absorb st x = mix (Int64.add (Int64.add st golden) (Int64.of_int x))
 
 let of_graph g =
   let n = Digraph.n g and m = Digraph.m g in
@@ -22,9 +24,11 @@ let of_graph g =
      stream give a 128-bit state *)
   let lo = ref (absorb (absorb 0L n) m) in
   let hi = ref (absorb (absorb 0x6A09E667F3BCC909L m) n) in
+  let srcs = Digraph.Unsafe.srcs g and dsts = Digraph.Unsafe.dsts g in
+  let weights = Digraph.Unsafe.weights g and transits = Digraph.Unsafe.transits g in
   for a = 0 to m - 1 do
-    let s = Digraph.src g a and d = Digraph.dst g a in
-    let w = Digraph.weight g a and t = Digraph.transit g a in
+    let s = srcs.{a} and d = dsts.{a} in
+    let w = weights.{a} and t = transits.{a} in
     lo := absorb (absorb (absorb (absorb !lo s) d) w) t;
     hi := absorb (absorb (absorb (absorb !hi t) w) d) s
   done;

@@ -6,13 +6,31 @@
     a <src> <dst> <weight> [<transit>]
     v}
     Nodes are 1-indexed in files (DIMACS convention) and 0-indexed in
-    the API.  A missing transit field means transit 1. *)
+    the API.  A missing transit field means transit 1.
+
+    Both formats are read by one pass over the bytes, straight into
+    the graph's label arrays (an [io.parse] trace span).  Each line is
+    trimmed as by [String.trim] and split on spaces; a field is read
+    as by [int_of_string_opt], so [+5], [0x1f] and [1_000] are
+    numbers and an out-of-range value is a malformed line. *)
+
+val max_nodes : int
+(** [2{^26}]: the largest node count a problem line may declare, 64×
+    the largest graph the benchmarks load.  The node arrays are
+    allocated from the declared count, so a larger one is rejected
+    (with the problem line's number) instead of exhausting memory.
+    The declared arc count only sizes the first arc buffer, never
+    beyond what the rest of the text can hold, and is otherwise not
+    checked. *)
 
 val to_string : Digraph.t -> string
 val of_string : string -> Digraph.t
 (** @raise Failure with a line-numbered message on malformed input. *)
 
 val write_file : string -> Digraph.t -> unit
+(** Writes {!to_string}'s text, streamed through the channel in
+    64 KiB pieces. *)
+
 val read_file : string -> Digraph.t
 
 val load : string -> Digraph.t

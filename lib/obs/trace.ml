@@ -142,9 +142,7 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
 let configure ?capacity () =
   Mutex.lock registry_mutex;
-  (match capacity with
-  | Some c -> default_capacity := next_pow2 (max 16 c) 16
-  | None -> ());
+  default_capacity := next_pow2 (max 16 (Option.value capacity ~default:65536)) 16;
   rings := Array.make 16 None;
   tracks := [];
   process_pid := 0;

@@ -55,6 +55,30 @@ let test_fingerprint_sensitivity () =
   Alcotest.(check int) "hash consistent" (Fingerprint.hash (fp base))
     (Fingerprint.hash (fp same))
 
+(* digests recorded before [mix]/[absorb] were inlined: the
+   fingerprint names cache entries, so its value must not drift *)
+let test_fingerprint_pinned () =
+  let hex g = Fingerprint.to_hex (Fingerprint.of_graph g) in
+  Alcotest.(check string) "sprand 100/300" "3599338fb1a9184edc6dfa1fbcfc7e54"
+    (hex (Sprand.generate ~seed:3 ~n:100 ~m:300 ()));
+  Alcotest.(check string) "sprand 4096/12288" "5d6e25d243b1dfde8f34913b5ada40cf"
+    (hex (Sprand.generate ~seed:11 ~n:4096 ~m:12288 ()));
+  Alcotest.(check string) "three arcs" "617d324d39c3c528d012dc5e5de2ca71"
+    (hex (Digraph.of_arcs 3 [ (0, 1, -5, 1); (1, 2, 10000, 7); (2, 0, 0, 2) ]))
+
+(* the .mli's "no allocation beyond the result": the words allocated
+   do not grow with the arc count *)
+let test_fingerprint_no_alloc () =
+  let words g =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Fingerprint.of_graph g));
+    Gc.minor_words () -. before
+  in
+  let small = words (Sprand.generate ~seed:3 ~n:100 ~m:300 ()) in
+  let large = words (Sprand.generate ~seed:11 ~n:4096 ~m:12288 ()) in
+  Alcotest.(check (float 0.0)) "independent of m" small large;
+  Alcotest.(check bool) "only the result" true (large <= 16.0)
+
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -305,3 +329,10 @@ let suite =
         qcheck_engine_matches_solver 4;
         qcheck_jobs_byte_identical;
       ]
+  (* appended after the property tests so earlier cases keep their indices *)
+  @ [
+      Alcotest.test_case "fingerprint: digests pinned" `Quick
+        test_fingerprint_pinned;
+      Alcotest.test_case "fingerprint: allocates only its result" `Quick
+        test_fingerprint_no_alloc;
+    ]

@@ -67,7 +67,16 @@ let test_ring_wraparound () =
       let evs = Trace.events () in
       Alcotest.(check int) "ring keeps capacity records" 16 (List.length evs);
       Alcotest.(check int) "all recorded counted" 50 (Trace.recorded ());
-      Alcotest.(check int) "drops counted" 34 (Trace.dropped ()))
+      Alcotest.(check int) "drops counted" 34 (Trace.dropped ()));
+  (* a configure without ~capacity is back at the documented 65536,
+     whatever an earlier call set *)
+  with_tracing (fun () ->
+      for _ = 1 to 50 do
+        Trace.instant sp_a
+      done;
+      Alcotest.(check int) "default capacity restored" 50
+        (List.length (Trace.events ()));
+      Alcotest.(check int) "nothing dropped" 0 (Trace.dropped ()))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export -> reader round trip                                  *)
@@ -694,13 +703,13 @@ let test_layer_spans () =
         | _ -> None)
       (Trace.events ())
   in
-  with_tracing ~capacity:4096 (fun () ->
+  with_tracing (fun () ->
       ignore (Solver.minimum_cycle_mean g);
       Alcotest.(check (list string)) "nested partition spans"
         [ "B solver.partition"; "B scc.compute"; "E scc.compute";
           "B scc.partition"; "E scc.partition"; "E solver.partition" ]
         (spans [ "solver.partition"; "scc.compute"; "scc.partition" ]));
-  with_tracing ~capacity:4096 (fun () ->
+  with_tracing (fun () ->
       let s = Dyn.create g in
       Dyn.set_weight s 0 7;
       ignore (Dyn.fingerprint s);
@@ -708,7 +717,16 @@ let test_layer_spans () =
       Alcotest.(check (list string)) "one miss, then a hit"
         [ "B dyn.refresh"; "E dyn.refresh"; "B dyn.fingerprint";
           "E dyn.fingerprint" ]
-        (spans [ "dyn.refresh"; "dyn.fingerprint" ]))
+        (spans [ "dyn.refresh"; "dyn.fingerprint" ]));
+  (* the graph-text scanner, on success and on a rejected file *)
+  with_tracing (fun () ->
+      ignore (Graph_io.of_string (Graph_io.to_string g));
+      (match Graph_io.of_dimacs "p sp 2 1\na 1 3 1\n" with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "expected a parse failure");
+      Alcotest.(check (list string)) "one io.parse span per parse"
+        [ "B io.parse"; "E io.parse"; "B io.parse"; "E io.parse" ]
+        (spans [ "io.parse" ]))
 
 let suite =
   [
